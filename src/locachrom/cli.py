@@ -34,7 +34,6 @@ class _Parser(argparse.ArgumentParser):
 class CommandConfig:
     format: str
     budget: int
-    seed: int
 
 
 def _dump(obj) -> str:
@@ -47,6 +46,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _IOFailure(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise graphs.InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _write_text(path: str, text: str):
@@ -66,11 +67,13 @@ def _load_graph(path: str) -> graphs.Graph:
 
 
 def _load_coloring(path: str) -> locating.Coloring:
+    text = _read_text(path)
     try:
-        data = json.loads(_read_text(path))
-        return locating.Coloring.from_json_dict(data)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # Not JSON, an integer past the digit limit, or nesting too deep.
         raise graphs.InputError(f"bad coloring file {path}: {exc}") from exc
+    return locating.Coloring.from_json_dict(data)
 
 
 def build_parser() -> _Parser:
@@ -82,10 +85,6 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--budget", type=int, default=locating.DEFAULT_BUDGET,
         help="search budget in tree nodes",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for randomized corpus generation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -237,11 +236,7 @@ def _fixture_bundle(name: str, params: list) -> dict:
 
 
 def _cmd_fixture(args, config: CommandConfig) -> int:
-    bundle = _fixture_bundle(args.name, args.params)
-    if config.format == "json":
-        print(_dump(bundle))
-    else:
-        print(_dump(bundle))
+    print(_dump(_fixture_bundle(args.name, args.params)))
     return EXIT_OK
 
 
@@ -261,7 +256,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.budget <= 0:
             raise UsageError("--budget must be positive")
-        config = CommandConfig(args.format, args.budget, args.seed)
+        config = CommandConfig(args.format, args.budget)
         return _COMMANDS[args.command](args, config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

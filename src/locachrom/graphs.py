@@ -55,6 +55,11 @@ class Graph:
             nbrs[v].append(u)
         return tuple(tuple(sorted(b)) for b in nbrs)
 
+    @cached_property
+    def connected(self) -> bool:
+        """One BFS on first use; read it through :func:`is_connected`."""
+        return self.n == 0 or UNREACHABLE not in bfs_distances(self, (0,))
+
     @property
     def num_edges(self) -> int:
         return len(self.edges)
@@ -208,7 +213,8 @@ def connected_components(g: Graph) -> list:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    """True iff g has at most one component; computed once per graph."""
+    return g.connected
 
 
 def induced_subgraph(g: Graph, vertices: Iterable) -> Graph:
@@ -253,21 +259,35 @@ def corona(g: Graph, h: Graph) -> tuple:
     return product, cmap
 
 
-def all_pairs_distances(g: Graph) -> list:
-    """Hop distances by BFS from every vertex; UNREACHABLE for no path."""
-    dist = []
-    for start in range(g.n):
-        row = [UNREACHABLE] * g.n
-        row[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if row[w] == UNREACHABLE:
-                    row[w] = row[v] + 1
-                    queue.append(w)
-        dist.append(row)
+def bfs_distances(g: Graph, sources: Iterable) -> list:
+    """Hop distance from every vertex to the nearest of ``sources``.
+
+    One BFS started from all sources at once, so entry v is
+    min over s in sources of d(v, s), in O(n + m) time; UNREACHABLE where
+    no source reaches.
+    """
+    adjacency = g.adjacency
+    dist = [UNREACHABLE] * g.n
+    frontier = list(sources)
+    for s in frontier:
+        dist[s] = 0
+    level = 0
+    while frontier:
+        level += 1
+        reached = []
+        for v in frontier:
+            for w in adjacency[v]:
+                if dist[w] == UNREACHABLE:
+                    dist[w] = level
+                    reached.append(w)
+        frontier = reached
     return dist
+
+
+def all_pairs_distances(g: Graph) -> list:
+    """Hop distances by one BFS from every vertex: O(n(n + m)) time and
+    O(n^2) memory; UNREACHABLE for no path."""
+    return [bfs_distances(g, (start,)) for start in range(g.n)]
 
 
 def subgraph_isomorphic(pattern: Graph, host: Graph) -> bool:
@@ -327,6 +347,23 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_count(token: str, what: str, line_no: int) -> int:
+    """A non-negative integer written in ASCII digits only.
+
+    ``int`` alone also takes signs, underscores ('1_0') and non-ASCII
+    decimal digits ('١'), and ``str.isdigit`` also passes digits ``int``
+    rejects ('²').
+    """
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(
+            f"{what} must be a non-negative integer, got {token!r}", line_no
+        )
+    try:
+        return int(token)
+    except ValueError:  # beyond the interpreter's integer-string digit limit
+        raise ParseError(f"{what} has too many digits", line_no) from None
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format; round-trips with :func:`serialize_graph`."""
     n = None
@@ -339,18 +376,16 @@ def parse_graph(text: str) -> Graph:
         if parts[0] == "n":
             if n is not None:
                 raise ParseError("duplicate 'n' line", line_no)
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2:
                 raise ParseError("expected 'n <order>'", line_no)
-            n = int(parts[1])
+            n = _parse_count(parts[1], "order", line_no)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("'e' line before 'n' line", line_no)
             if len(parts) != 3:
                 raise ParseError("expected 'e <u> <v>'", line_no)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("endpoints must be integers", line_no) from None
+            u = _parse_count(parts[1], "endpoint", line_no)
+            v = _parse_count(parts[2], "endpoint", line_no)
             if u == v:
                 raise ParseError(f"loop at vertex {u}", line_no)
             if not (0 <= u < n and 0 <= v < n):

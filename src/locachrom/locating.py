@@ -18,6 +18,7 @@ from .graphs import (
     InputError,
     SizeLimitError,
     all_pairs_distances,
+    bfs_distances,
     is_connected,
 )
 
@@ -64,8 +65,18 @@ class Coloring:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Coloring":
-        return cls(int(data["k"]), tuple(int(c) for c in data["colors"]))
+    def from_json_dict(cls, data) -> "Coloring":
+        """Read ``{"k": <int>, "colors": [<int>, ...]}``.
+
+        Anything else raises :class:`InputError`; floats, strings and
+        booleans are rejected, never coerced to an integer.
+        """
+        if not isinstance(data, dict) or not isinstance(data.get("colors"), list):
+            raise InputError('expected {"k": <int>, "colors": [<int>, ...]}')
+        k, colors = data.get("k"), data["colors"]
+        if any(type(x) is not int for x in (k, *colors)):
+            raise InputError("k and every color must be JSON integers")
+        return cls(k, tuple(colors))
 
 
 @dataclass(frozen=True)
@@ -125,19 +136,23 @@ def _check_coloring_size(g: Graph, c: Coloring):
 
 
 def color_codes(g: Graph, c: Coloring) -> list:
-    """Per-vertex distance vectors to the k color classes."""
+    """Per-vertex distance vectors to the k color classes.
+
+    d(v, C) is v's level in one BFS started from every member of C at
+    once, so the codes take k BFS passes: O(k(n + m)) time and O(kn)
+    memory, with no all-pairs distance matrix.
+    """
     _require_connected(g)
     _check_coloring_size(g, c)
-    dist = all_pairs_distances(g)
-    classes = c.color_classes()
-    return [
-        tuple(min(dist[v][u] for u in cls) for cls in classes)
-        for v in range(g.n)
-    ]
+    return list(zip(*(bfs_distances(g, cls) for cls in c.color_classes())))
 
 
 def verify(g: Graph, c: Coloring) -> VerificationReport:
-    """Check properness and code distinctness; failures carry a witness."""
+    """Check properness and code distinctness; failures carry a witness.
+
+    Costs O(m log m + k(n + m)): sorting the edges for the first
+    monochromatic one, then :func:`color_codes`.
+    """
     _require_connected(g)
     _check_coloring_size(g, c)
     for u, v in g.sorted_edges():
@@ -169,31 +184,24 @@ def twin_classes(g: Graph) -> list:
 
     u and v are twins when d(u, w) = d(v, w) for every w outside {u, v};
     any locating coloring must give a class's members pairwise distinct
-    colors.
+    colors. In a connected graph that holds exactly when
+    N(u) - {v} = N(v) - {u}: adjacent twins share the closed
+    neighbourhood N[v], non-adjacent twins the open one N(v), and no
+    vertex has twins of both kinds. So the classes come from grouping
+    vertices by those two keys, in O(n + m) time without distances.
     """
     _require_connected(g)
-    dist = all_pairs_distances(g)
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if all(
-                dist[u][w] == dist[v][w]
-                for w in range(g.n)
-                if w != u and w != v
-            ):
-                parent[find(v)] = find(u)
-
-    groups = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted((tuple(grp) for grp in groups.values()), key=lambda t: t[0])
+    by_open, by_closed = {}, {}
+    for v, nbrs in enumerate(g.adjacency):
+        by_open.setdefault(nbrs, []).append(v)
+        by_closed.setdefault(frozenset(nbrs).union((v,)), []).append(v)
+    classes = [
+        tuple(grp) for grp in (*by_open.values(), *by_closed.values())
+        if len(grp) > 1
+    ]
+    grouped = {v for cls in classes for v in cls}
+    classes += [(v,) for v in range(g.n) if v not in grouped]
+    return sorted(classes)
 
 
 def locating_lower_bound(g: Graph) -> tuple:

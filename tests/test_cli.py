@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import locachrom as lc
 from locachrom.cli import (
@@ -11,6 +13,7 @@ from locachrom.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    _load_coloring,
     main,
 )
 
@@ -23,6 +26,11 @@ def write_graph(path, g):
 @pytest.fixture
 def p2_file(tmp_path):
     return write_graph(tmp_path / "p2.graph", lc.generate("path", 2))
+
+
+@pytest.fixture
+def p3_file(tmp_path):
+    return write_graph(tmp_path / "p3.graph", lc.generate("path", 3))
 
 
 class TestGen:
@@ -172,6 +180,79 @@ class TestFixture:
 
     def test_bad_params(self):
         assert main(["fixture", "star"]) == EXIT_USAGE
+
+    def test_human_format_is_the_json_bundle(self, capsys):
+        outputs = []
+        for fmt in ("human", "json"):
+            assert main(["--format", fmt, "fixture", "star", "5"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
+class TestMalformedInput:
+    """Bad input ends in exit 1 with an 'invalid input:' line, never a
+    traceback and never a verdict on a silently coerced value."""
+
+    def assert_invalid(self, capsys, argv):
+        assert main(argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid input:")
+        assert captured.out == ""
+
+    def test_superscript_graph_order(self, tmp_path, capsys):
+        g = tmp_path / "g.graph"
+        g.write_text("n \u00b2\n", encoding="utf-8")
+        self.assert_invalid(capsys, ["chil", str(g)])
+
+    def test_graph_file_not_utf8(self, tmp_path, capsys):
+        g = tmp_path / "g.graph"
+        g.write_bytes(b"n 2\ne 0 1\n\xff\n")
+        self.assert_invalid(capsys, ["chil", str(g)])
+
+    @pytest.mark.parametrize("text", [
+        '{"k": "x", "colors": [1, 2, 1]}',
+        '{"k": 2, "colors": [1, 2.7, 1]}',
+        '{"k": 2, "colors": [1, true, 2]}',
+        '{"k": 2, "colors": [1, 2, 1',
+        '[' * 100000,
+    ], ids=["string-k", "float-color", "bool-color", "truncated", "deep-nesting"])
+    def test_bad_coloring_file(self, tmp_path, capsys, p3_file, text):
+        c = tmp_path / "c.json"
+        c.write_text(text)
+        self.assert_invalid(capsys, ["verify", p3_file, str(c)])
+
+    def test_seed_flag_removed(self):
+        assert main(["--seed", "1", "gen", "path", "2"]) == EXIT_USAGE
+
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=3)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["k", "colors", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+_coloring_texts = st.one_of(
+    st.text(max_size=40),
+    _json_values.map(json.dumps),
+    st.fixed_dictionaries(
+        {"k": _json_scalars, "colors": st.lists(_json_scalars, max_size=5)}
+    ).map(json.dumps),
+)
+
+
+@settings(max_examples=300)
+@given(text=_coloring_texts)
+def test_coloring_loader_fuzz(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "coloring-fuzz.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        coloring = _load_coloring(str(path))
+    except (lc.InputError, lc.ParseError):
+        return
+    assert all(type(c) is int for c in (coloring.k, *coloring.colors))
 
 
 def test_json_output_is_deterministic(tmp_path, capsys):

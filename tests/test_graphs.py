@@ -1,5 +1,6 @@
 """Graph construction, operators, distances, and serialization."""
 
+import sys
 from itertools import permutations
 
 import pytest
@@ -216,6 +217,34 @@ class TestSerialization:
     def test_malformed_line(self):
         with pytest.raises(ParseError):
             lc.parse_graph("n 2\nx 0 1\n")
+
+    def test_superscript_order_rejected(self):
+        # '²' passes str.isdigit() but int() cannot read it.
+        with pytest.raises(ParseError, match="line 1"):
+            lc.parse_graph("n \u00b2\n")
+
+    def test_non_ascii_endpoint_digits_rejected(self):
+        # int() reads Arabic-Indic '١ ٢' as 1 2.
+        with pytest.raises(ParseError, match="line 2"):
+            lc.parse_graph("n 3\ne \u0661 \u0662\n")
+
+    def test_underscored_endpoint_rejected(self):
+        # int() reads '1_0' as 10.
+        with pytest.raises(ParseError, match="line 2"):
+            lc.parse_graph("n 11\ne 1_0 2\n")
+
+    @pytest.mark.parametrize("token", ["-1", "+1", "1.0", "0x1"])
+    def test_signed_or_non_decimal_endpoint_rejected(self, token):
+        with pytest.raises(ParseError, match="line 2"):
+            lc.parse_graph(f"n 3\ne {token} 2\n")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="this interpreter has no integer-string digit limit",
+    )
+    def test_order_beyond_digit_limit_rejected(self):
+        with pytest.raises(ParseError, match="too many digits"):
+            lc.parse_graph("n " + "9" * 5000 + "\n")
 
     def test_comments_ignored(self):
         g = lc.parse_graph("# a path\nn 2\n# edge below\ne 0 1\n")

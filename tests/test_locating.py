@@ -109,3 +109,101 @@ class TestLowerBound:
         # Wheel on 5 vertices: opposite rim pairs are twins, the hub sees both.
         w4 = lc.join_with_k1(lc.generate("cycle", 4))
         assert lc.locating_lower_bound(w4) == (3, "twin-class")
+
+
+class TestPinnedWitnesses:
+    """Witnesses the verifier gave before color codes came from per-class
+    BFS; the same inputs must keep giving exactly these."""
+
+    @staticmethod
+    def theorem2_with(change):
+        fx = lc.fixture_theorem2()
+        colors = list(fx.result.coloring.colors)
+        change(colors, fx.labels.index)
+        return lc.verify(fx.graph, Coloring(5, tuple(colors))).witness
+
+    def test_p3(self):
+        g = lc.generate("path", 3)
+        assert lc.verify(g, Coloring(2, (1, 2, 1))).witness == {
+            "type": "code-collision", "u": 0, "v": 2, "code": [0, 1],
+        }
+        assert lc.verify(g, Coloring(2, (1, 1, 2))).witness == {
+            "type": "monochromatic-edge", "u": 0, "v": 1, "color": 1,
+        }
+
+    def test_theorem2_swapped_copy_colors(self):
+        def swap(colors, at):
+            i, j = at("(u,q)"), at("(u,r)")
+            colors[i], colors[j] = colors[j], colors[i]
+
+        assert self.theorem2_with(swap) == {
+            "type": "code-collision", "u": 6, "v": 11, "code": [1, 1, 0, 2, 1],
+        }
+
+    def test_theorem2_monochromatic_p2_copy(self):
+        def merge(colors, at):
+            colors[at("(u,a)")] = colors[at("(u,b)")]
+
+        assert self.theorem2_with(merge) == {
+            "type": "monochromatic-edge", "u": 3, "v": 4, "color": 4,
+        }
+
+
+def test_locating_layer_needs_no_all_pairs_distances(monkeypatch):
+    # verify, color_codes and twin_classes cost O(k(n + m)) or less; on a
+    # 1,600-vertex product an all-pairs matrix would be 2.56M entries.
+    def quadratic(g):
+        raise AssertionError("all-pairs distances computed")
+
+    for module in (lc, lc.graphs, lc.locating):
+        monkeypatch.setattr(module, "all_pairs_distances", quadratic)
+    result = lc.star_corona_coloring(800)
+    c = result.coloring
+    prod, _ = lc.corona(lc.generate("star", 800), lc.generate("empty", 1))
+    assert prod.n == 1600
+    assert lc.verify(prod, c).locating
+    assert len(set(lc.color_codes(prod, c))) == prod.n
+    classes = lc.twin_classes(prod)
+    assert len(classes) == prod.n  # every vertex of a corona with K1 is alone
+
+
+def test_connectivity_computed_once_per_graph(monkeypatch):
+    g = lc.generate("path", 4)
+    calls = []
+    real = lc.graphs.bfs_distances
+
+    def counting(graph, sources):
+        calls.append(tuple(sources))
+        return real(graph, sources)
+
+    monkeypatch.setattr(lc.graphs, "bfs_distances", counting)
+    assert lc.is_connected(g) and lc.is_connected(g)
+    assert calls == [(0,)]
+
+
+def test_disconnected_rejected_before_edge_verdict():
+    # Vertices 0 and 1 share an edge and a color, but 2 is isolated.
+    g = lc.make_graph(3, [(0, 1)])
+    with pytest.raises(DisconnectedGraphError):
+        lc.verify(g, Coloring(2, (1, 1, 2)))
+
+
+class TestColoringJson:
+    @pytest.mark.parametrize("data", [
+        {"k": "x", "colors": [1]},
+        {"k": 2, "colors": [1, 2.7, 1]},
+        {"k": 2, "colors": [1, True, 2]},
+        {"k": True, "colors": [1]},
+        {"k": 2.0, "colors": [1, 2]},
+        {"k": 2, "colors": "12"},
+        {"k": 2},
+        {"colors": [1, 2]},
+        [2, [1, 2]],
+        None,
+    ])
+    def test_rejects_non_integers_and_bad_shapes(self, data):
+        with pytest.raises(lc.InputError):
+            Coloring.from_json_dict(data)
+
+    def test_accepts_plain_integers(self):
+        assert Coloring.from_json_dict({"k": 2, "colors": [2, 1]}) == Coloring(2, (2, 1))

@@ -137,3 +137,85 @@ def test_verify_witness_reproduces(g):
     else:
         codes = lc.color_codes(g, Coloring(k, colors))
         assert codes[w["u"]] == codes[w["v"]] == tuple(w["code"])
+
+
+def codes_by_definition(g, c):
+    # Reference: d(v, C) as the minimum over C of an all-pairs matrix row.
+    dist = lc.all_pairs_distances(g)
+    return [
+        tuple(min(dist[v][u] for u in cls) for cls in c.color_classes())
+        for v in range(g.n)
+    ]
+
+
+def twins_by_definition(g):
+    # Reference: compare whole distance rows, O(n^3), then close transitively.
+    dist = lc.all_pairs_distances(g)
+    label = list(range(g.n))
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if all(dist[u][w] == dist[v][w] for w in range(g.n) if w not in (u, v)):
+                old, new = label[v], label[u]
+                label = [new if x == old else x for x in label]
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(label[v], []).append(v)
+    return sorted(tuple(grp) for grp in groups.values())
+
+
+@st.composite
+def colorings(draw, n):
+    k = draw(st.integers(min_value=1, max_value=n))
+    rest = draw(st.lists(st.integers(1, k), min_size=n - k, max_size=n - k))
+    colors = draw(st.permutations(list(range(1, k + 1)) + rest))
+    return Coloring(k, tuple(colors))
+
+
+@given(st.data())
+def test_color_codes_match_distance_definition(data):
+    g = data.draw(graphs(min_order=1, max_order=10, connected=True))
+    c = data.draw(colorings(g.n))
+    assert lc.color_codes(g, c) == codes_by_definition(g, c)
+
+
+@given(graphs(min_order=1, max_order=10, connected=True))
+def test_twin_classes_match_distance_definition(g):
+    assert lc.twin_classes(g) == twins_by_definition(g)
+
+
+def test_twin_classes_match_distance_definition_exhaustively():
+    # Every labelled connected graph on at most 5 vertices.
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = lc.make_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            if lc.is_connected(g):
+                assert lc.twin_classes(g) == twins_by_definition(g)
+
+
+@given(graphs(max_order=8), st.data())
+def test_multi_source_bfs_is_nearest_source(g, data):
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+    dist = lc.all_pairs_distances(g)
+    reach = [
+        [d for d in (dist[s][v] for s in sources) if d != lc.UNREACHABLE]
+        for v in range(g.n)
+    ]
+    expected = [min(r) if r else lc.UNREACHABLE for r in reach]
+    assert lc.bfs_distances(g, sources) == expected
+
+
+_graph_tokens = st.sampled_from(
+    ["n", "e", "#", "0", "1", "2", "10", "-1", "1_0", "\u00b2", "\u0661", "x", " ", "\n"]
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(max_size=30), st.lists(_graph_tokens, max_size=16).map("".join)))
+def test_parse_graph_fuzz(text):
+    # Malformed text may only raise ParseError or InputError.
+    try:
+        g = lc.parse_graph(text)
+    except (lc.ParseError, lc.InputError):
+        return
+    assert lc.parse_graph(lc.serialize_graph(g)) == g
