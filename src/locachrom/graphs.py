@@ -19,6 +19,10 @@ UNREACHABLE = -1
 #: Guard for the exponential subgraph search.
 SUBGRAPH_PATTERN_LIMIT = 64
 
+#: Largest order that :func:`parse_graph`, :func:`generate` and
+#: :func:`corona` build; a larger order is refused before any allocation.
+MAX_ORDER = 100_000
+
 
 class InputError(ValueError):
     """Invalid graph input (bad endpoint, loop, family parameter, ...)."""
@@ -133,8 +137,13 @@ def generate(family: str, *params: int) -> Graph:
     """Generate a standard graph family.
 
     Families: ``path n``, ``cycle n`` (n >= 3), ``star n`` (n >= 2),
-    ``complete n``, ``empty n``, ``double_star a b`` (a, b >= 1).
+    ``complete n``, ``empty n``, ``double_star a b`` (a, b >= 1). An order
+    above :data:`MAX_ORDER` raises :class:`InputError`.
     """
+    # The order is the one parameter, or a + b + 2 for double_star.
+    order = sum(params) + (2 if family == "double_star" else 0)
+    if order > MAX_ORDER:
+        raise InputError(f"order {order} exceeds the limit {MAX_ORDER}")
     if family == "path":
         (n,) = params
         if n < 1:
@@ -236,6 +245,9 @@ def corona(g: Graph, h: Graph) -> tuple:
     """
     if g.n < 1:
         raise InputError("corona requires |V(G)| >= 1")
+    order = g.n * (1 + h.n)
+    if order > MAX_ORDER:
+        raise SizeLimitError(f"product order {order} exceeds the limit {MAX_ORDER}")
     comps = connected_components(h)
     copy_order = [v for comp in comps for v in comp]
     comp_of = {}
@@ -379,6 +391,10 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 2:
                 raise ParseError("expected 'n <order>'", line_no)
             n = _parse_count(parts[1], "order", line_no)
+            if n > MAX_ORDER:
+                raise ParseError(
+                    f"order {n} exceeds the limit {MAX_ORDER}", line_no
+                )
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("'e' line before 'n' line", line_no)

@@ -240,19 +240,25 @@ def locating_lower_bound(g: Graph) -> tuple:
     return best, tag
 
 
-class _Budget(Exception):
-    pass
-
-
 def find_locating_coloring(
     g: Graph, k: int, budget: int = DEFAULT_BUDGET
 ) -> SearchResult:
     """Search for a locating coloring using exactly k colors.
 
-    Deterministic backtracking: vertices in descending-degree order,
-    colors introduced first-occurrence-ordered to break the color
-    permutation symmetry. Prunes on edge conflicts and twin conflicts;
-    full code distinctness is only decidable on complete assignments.
+    Deterministic backtracking on an explicit stack, so its depth is not
+    bounded by Python's recursion limit: vertices in descending-degree
+    order, colors introduced first-occurrence-ordered to break the color
+    permutation symmetry. Each frame computes once the colors blocked by
+    its earlier neighbors and earlier twins, and a frame too deep to still
+    introduce every missing color is cut. Each color tried, blocked or not,
+    is one node; the search stops at node budget + 1.
+
+    ``near[c]`` holds d(w, C_c) for every w over the vertices colored c so
+    far (n while C_c is empty). Coloring v with c saves ``near[c]`` and
+    replaces it by its elementwise minimum with v's distance row, O(n);
+    undoing restores the saved list. Code distinctness is only decidable on
+    complete assignments, where the codes are the columns of ``near``:
+    an O(nk) check per leaf.
     """
     _require_connected(g)
     if not (1 <= k <= g.n):
@@ -266,68 +272,51 @@ def find_locating_coloring(
     dist = all_pairs_distances(g)
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     pos = {v: i for i, v in enumerate(order)}
-    earlier_neighbors = [
-        [w for w in g.adjacency[v] if pos[w] < pos[v]] for v in range(n)
-    ]
-    twin_of = [None] * n
-    for cls in twins:
-        for v in cls:
-            twin_of[v] = cls
-    earlier_twins = [
-        [w for w in twin_of[v] if pos[w] < pos[v] and w != v] for v in range(n)
+    twin_of = {v: cls for cls in twins for v in cls}
+    # Per depth: the distance row, and the earlier neighbors and twins.
+    rows = [dist[v] for v in order]
+    blockers = [
+        [w for w in (*g.adjacency[v], *twin_of[v]) if pos[w] < pos[v]]
+        for v in order
     ]
 
     assignment = [0] * n
-    members = [[] for _ in range(k + 1)]
+    near = [[n] * n for _ in range(k + 1)]  # near[0] is unused
+    # Per depth: next color, blocked colors, colors used before it, and the
+    # near list its current color replaced.
+    nxt, blocked, used, saved = [0] * n, [None] * n, [0] * (n + 1), [None] * n
     nodes = 0
-
-    def codes_distinct() -> bool:
-        seen = set()
-        for v in range(n):
-            row = dist[v]
-            code = tuple(
-                min(row[u] for u in members[c]) for c in range(1, k + 1)
-            )
-            if code in seen:
-                return False
-            seen.add(code)
-        return True
-
-    def search(i: int, used: int):
-        nonlocal nodes
-        if i == n:
-            if used == k and codes_distinct():
-                return tuple(assignment)
-            return None
-        v = order[i]
-        # Remaining vertices must still be able to introduce missing colors.
-        if used + (n - i) < k:
-            return None
-        limit = min(k, used + 1)
-        for color in range(1, limit + 1):
+    i, fresh = 0, True
+    while i >= 0:
+        if fresh:
+            if i == n and used[n] == k and len(set(zip(*near[1:]))) == n:
+                return SearchResult(FOUND, Coloring(k, tuple(assignment)), nodes)
+            if i == n or used[i] + n - i < k:
+                i, fresh = i - 1, False
+                continue
+            color = 1
+            blocked[i] = {assignment[w] for w in blockers[i]}
+        else:
+            color = nxt[i]
+            near[color - 1] = saved[i]
+        top, block = min(k, used[i] + 1), blocked[i]
+        while color <= top:
             nodes += 1
             if nodes > budget:
-                raise _Budget()
-            if any(assignment[w] == color for w in earlier_neighbors[v]):
-                continue
-            if any(assignment[w] == color for w in earlier_twins[v]):
-                continue
-            assignment[v] = color
-            members[color].append(v)
-            found = search(i + 1, max(used, color))
-            members[color].pop()
-            assignment[v] = 0
-            if found is not None:
-                return found
-        return None
-
-    try:
-        found = search(0, 0)
-    except _Budget:
-        return SearchResult(BUDGET_EXHAUSTED, None, nodes)
-    if found is None:
-        return SearchResult(INFEASIBLE, None, nodes)
-    return SearchResult(FOUND, Coloring(k, found), nodes)
+                return SearchResult(BUDGET_EXHAUSTED, None, nodes)
+            if color not in block:
+                break
+            color += 1
+        else:
+            i, fresh = i - 1, False
+            continue
+        saved[i] = old = near[color]
+        near[color] = [a if a < b else b for a, b in zip(old, rows[i])]
+        assignment[order[i]] = color
+        nxt[i] = color + 1
+        used[i + 1] = color if color > used[i] else used[i]
+        i, fresh = i + 1, True
+    return SearchResult(INFEASIBLE, None, nodes)
 
 
 @functools.lru_cache(maxsize=None)

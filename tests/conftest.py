@@ -66,6 +66,15 @@ def connected_graphs_up_to_iso(n: int) -> list:
     return result
 
 
+@pytest.fixture
+def refuse_graph_build(monkeypatch):
+    """Fail on any call of make_graph, so that an order cap is tested
+    without ever building the large graph."""
+    def refuse(*args):
+        raise AssertionError("a graph above MAX_ORDER reached make_graph")
+    monkeypatch.setattr(lc.graphs, "make_graph", refuse)
+
+
 @pytest.fixture(scope="session")
 def small_trees():
     return all_trees(7)

@@ -5,6 +5,7 @@ lines.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -159,9 +160,13 @@ def test_criterion_7_section3_invariants(small_trees, random_connected_corpus):
 
 
 def _run_cli(args):
+    # The child imports the same locachrom as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(lc.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "locachrom.cli", "--format", "json", *args],
         capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

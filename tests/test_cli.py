@@ -49,6 +49,10 @@ class TestGen:
     def test_unknown_family(self):
         assert main(["gen", "blob", "3"]) == EXIT_USAGE
 
+    def test_order_above_cap(self, refuse_graph_build, capsys):
+        assert main(["gen", "path", str(lc.MAX_ORDER + 1)]) == EXIT_USAGE
+        assert "exceeds the limit" in capsys.readouterr().err
+
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "g.graph"
         assert main(["gen", "path", "4", "-o", str(out)]) == EXIT_OK
@@ -202,6 +206,11 @@ class TestMalformedInput:
     def test_superscript_graph_order(self, tmp_path, capsys):
         g = tmp_path / "g.graph"
         g.write_text("n \u00b2\n", encoding="utf-8")
+        self.assert_invalid(capsys, ["chil", str(g)])
+
+    def test_graph_order_above_cap(self, tmp_path, refuse_graph_build, capsys):
+        g = tmp_path / "g.graph"
+        g.write_text("n 100000000\n")
         self.assert_invalid(capsys, ["chil", str(g)])
 
     def test_graph_file_not_utf8(self, tmp_path, capsys):

@@ -75,6 +75,17 @@ class TestGenerate:
         with pytest.raises(lc.InputError):
             lc.generate(family, *params)
 
+    @pytest.mark.parametrize("family,params", [
+        ("path", (lc.MAX_ORDER + 1,)),
+        ("double_star", (lc.MAX_ORDER // 2, lc.MAX_ORDER // 2 - 1)),
+    ])
+    def test_order_above_cap_refused(self, refuse_graph_build, family, params):
+        with pytest.raises(lc.InputError, match="exceeds the limit"):
+            lc.generate(family, *params)
+
+    def test_order_at_cap_accepted(self):
+        assert lc.generate("empty", lc.MAX_ORDER).n == lc.MAX_ORDER
+
 
 class TestOperators:
     def test_union_p2_c4(self):
@@ -111,6 +122,11 @@ class TestCorona:
         h = lc.disjoint_union(lc.generate("path", 2), lc.generate("cycle", 4))
         prod, _ = lc.corona(lc.generate("path", 3), h)
         assert prod.n == 21
+
+    def test_product_order_above_cap_refused(self):
+        # 317 * (1 + 315) = 100,172 vertices.
+        with pytest.raises(SizeLimitError, match="exceeds the limit"):
+            lc.corona(lc.generate("path", 317), lc.generate("path", 315))
 
     def test_p2_pendants_is_p4(self):
         # Expected value computed by the brute-force isomorphism oracle.
@@ -245,6 +261,13 @@ class TestSerialization:
     def test_order_beyond_digit_limit_rejected(self):
         with pytest.raises(ParseError, match="too many digits"):
             lc.parse_graph("n " + "9" * 5000 + "\n")
+
+    def test_order_above_cap_refused(self, refuse_graph_build):
+        with pytest.raises(ParseError, match="line 1: order 100000000 exceeds"):
+            lc.parse_graph("n 100000000\ne 0 1\n")
+
+    def test_order_at_cap_accepted(self):
+        assert lc.parse_graph(f"n {lc.MAX_ORDER}\n").n == lc.MAX_ORDER
 
     def test_comments_ignored(self):
         g = lc.parse_graph("# a path\nn 2\n# edge below\ne 0 1\n")
