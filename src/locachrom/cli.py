@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import constructions, graphs, locating
 
@@ -28,12 +27,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    format: str
-    budget: int
 
 
 def _dump(obj) -> str:
@@ -117,14 +110,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_gen(args, config: CommandConfig) -> int:
+def _cmd_gen(args) -> int:
     try:
         g = graphs.generate(args.family, *args.params)
     except (graphs.InputError, TypeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = graphs.serialize_graph(g)
-    if config.format == "json":
+    if args.format == "json":
         print(_dump({"graph": text}))
     elif args.output:
         _write_text(args.output, text)
@@ -133,12 +126,12 @@ def _cmd_gen(args, config: CommandConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_corona(args, config: CommandConfig) -> int:
+def _cmd_corona(args) -> int:
     g = _load_graph(args.gfile)
     h = _load_graph(args.hfile)
     product, cmap = graphs.corona(g, h)
     text = graphs.serialize_graph(product)
-    if config.format == "json":
+    if args.format == "json":
         print(_dump({"graph": text, "map": cmap.to_json_dict()}))
         return EXIT_OK
     if args.output:
@@ -146,31 +139,31 @@ def _cmd_corona(args, config: CommandConfig) -> int:
     else:
         sys.stdout.write(text)
     if args.map_out:
-        _write_text(args.map_out, cmap.to_json() + "\n")
+        _write_text(args.map_out, _dump(cmap.to_json_dict()) + "\n")
     else:
-        print(cmap.to_json())
+        print(_dump(cmap.to_json_dict()))
     return EXIT_OK
 
 
-def _cmd_chil(args, config: CommandConfig) -> int:
+def _cmd_chil(args) -> int:
     g = _load_graph(args.gfile)
-    result = locating.chi_L(g, config.budget)
-    if config.format == "json":
+    result = locating.chi_L(g, args.budget)
+    if args.format == "json":
         print(_dump(result.to_json_dict()))
     elif result.value is not None:
         print(f"chi_L = {result.value}")
-        print(f"certificate: {result.certificate.to_json()}")
+        print(f"certificate: {_dump(result.certificate.to_json_dict())}")
     else:
         lo, hi = result.interval
         print(f"indeterminate: chi_L in [{lo}, {hi}] (budget exhausted)")
     return EXIT_OK if result.value is not None else EXIT_INDETERMINATE
 
 
-def _cmd_verify(args, config: CommandConfig) -> int:
+def _cmd_verify(args) -> int:
     g = _load_graph(args.gfile)
     coloring = _load_coloring(args.coloringfile)
     report = locating.verify(g, coloring)
-    if config.format == "json":
+    if args.format == "json":
         print(_dump(report.to_json_dict()))
     elif report.locating:
         print("locating coloring: yes")
@@ -180,26 +173,11 @@ def _cmd_verify(args, config: CommandConfig) -> int:
     return EXIT_OK if report.locating else EXIT_INVALID
 
 
-def _cmd_bounds(args, config: CommandConfig) -> int:
+def _cmd_bounds(args) -> int:
     g = _load_graph(args.gfile)
     h = _load_graph(args.hfile)
-    report = constructions.corona_bounds(g, h, config.budget)
-    # Specialized tree bounds when they apply: tree G with edgeless H.
-    if h.num_edges == 0 and h.n >= 1 and g.num_edges == g.n - 1:
-        tree_report = constructions.tree_empty_corona_bounds(g, h.n, config.budget)
-        tags = dict(report.tags)
-        tags.update(tree_report.tags)
-        report = constructions.BoundsReport(
-            max(report.lower, tree_report.lower),
-            min(report.upper, tree_report.upper),
-            report.lower_tag if report.lower >= tree_report.lower
-            else tree_report.lower_tag,
-            report.upper_tag if report.upper <= tree_report.upper
-            else tree_report.upper_tag,
-            tags,
-            report.indeterminate or tree_report.indeterminate,
-        )
-    if config.format == "json":
+    report = constructions.best_corona_bounds(g, h, args.budget)
+    if args.format == "json":
         print(_dump(report.to_json_dict()))
     else:
         print(f"lower = {report.lower} ({report.lower_tag})")
@@ -235,7 +213,7 @@ def _fixture_bundle(name: str, params: list) -> dict:
     return {"construction": result.to_json_dict()}
 
 
-def _cmd_fixture(args, config: CommandConfig) -> int:
+def _cmd_fixture(args) -> int:
     print(_dump(_fixture_bundle(args.name, args.params)))
     return EXIT_OK
 
@@ -256,8 +234,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.budget <= 0:
             raise UsageError("--budget must be positive")
-        config = CommandConfig(args.format, args.budget)
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 from .graphs import (
@@ -57,29 +58,20 @@ class BoundsReport:
             "indeterminate": self.indeterminate,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """A constructed coloring together with its verification status."""
+    """A verified constructed coloring and the construction it came from."""
 
     source: str
     coloring: Coloring
-    colors_used: int
-    verified: bool
 
     def to_json_dict(self) -> dict:
         return {
             "source": self.source,
-            "k": self.colors_used,
+            "k": self.coloring.k,
             "colors": list(self.coloring.colors),
-            "verified": self.verified,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -99,7 +91,7 @@ def _checked_result(source: str, g: Graph, coloring: Coloring) -> ConstructionRe
         raise ConstructionError(
             f"{source} construction failed verification: {report.witness}"
         )
-    return ConstructionResult(source, coloring, coloring.k, True)
+    return ConstructionResult(source, coloring)
 
 
 def _interval(result: ChiLResult) -> tuple:
@@ -113,8 +105,11 @@ def corona_bounds(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> BoundsRep
 
     Lower: the largest locating-chromatic number among the joins of H's
     components with one apex vertex. Upper: that of G plus the sum of
-    (each join value minus one). Both sides use the exact solver.
+    (each join value minus one). Both sides use the exact solver. H must
+    have at least one vertex.
     """
+    if h.n == 0:
+        raise InputError("corona bounds require H with at least one vertex")
     component_joins = [
         join_with_k1(induced_subgraph(h, comp))
         for comp in connected_components(h)
@@ -210,45 +205,29 @@ def optimal_upper_parts(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> tup
     return f.certificate, c_list
 
 
-# Vertex labels of the Theorem-2 fixture: G = P3 on {u, v, w}, H = P2 u C4
-# on {a, b, p, q, r, s} with edges ab, pq, ps, qr, rs.
-_T2_CENTERS = ("u", "v", "w")
-_T2_COPY = ("a", "b", "p", "q", "r", "s")
-
-_T2_COLORS = {
-    "(u)": 5, "(v)": 1, "(w)": 3,
-    "(u,a)": 2, "(u,b)": 4, "(u,p)": 1, "(u,q)": 2, "(u,r)": 3, "(u,s)": 4,
-    "(v,a)": 2, "(v,b)": 4, "(v,p)": 3, "(v,q)": 2, "(v,r)": 4, "(v,s)": 5,
-    "(w,a)": 2, "(w,b)": 4, "(w,p)": 1, "(w,q)": 4, "(w,r)": 2, "(w,s)": 5,
-}
-
-_T2_CODES = {
-    "(u)": (1, 1, 1, 1, 0), "(v)": (0, 1, 1, 1, 1), "(w)": (1, 1, 0, 1, 1),
-    "(u,a)": (2, 0, 2, 1, 1), "(v,a)": (1, 0, 2, 1, 2), "(w,a)": (2, 0, 1, 1, 2),
-    "(u,b)": (2, 1, 2, 0, 1), "(v,b)": (1, 1, 2, 0, 2), "(w,b)": (2, 1, 1, 0, 2),
-    "(u,p)": (0, 1, 2, 1, 1), "(v,p)": (1, 1, 0, 2, 1), "(w,p)": (0, 2, 1, 1, 1),
-    "(u,q)": (1, 0, 1, 2, 1), "(v,q)": (1, 0, 1, 1, 2), "(w,q)": (1, 1, 1, 0, 2),
-    "(u,r)": (2, 1, 0, 1, 1), "(v,r)": (1, 1, 2, 0, 1), "(w,r)": (2, 0, 1, 1, 1),
-    "(u,s)": (1, 2, 1, 0, 1), "(v,s)": (1, 2, 1, 1, 0), "(w,s)": (1, 1, 1, 2, 0),
-}
+def _load_data(name: str):
+    # A path beside this module, not importlib.resources: that import alone
+    # loads some 25 more stdlib modules into every CLI start.
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def fixture_theorem2() -> Theorem2Fixture:
-    """Build and certify the 5-colored P3 (.) (P2 u C4) reference instance."""
-    g = generate("path", 3)
+    """Build and certify the 5-colored P3 (.) (P2 u C4) reference instance.
+
+    The coloring, the vertex labels and the code table are the shipped
+    ``theorem2_coloring.json`` and ``theorem2_codes.json``; only the graph
+    and its corona map are rebuilt here.
+    """
     # H = P2 on {a=0, b=1} union C4 on {p=2, q=3, r=4, s=5}.
     h = Graph(6, frozenset({(0, 1), (2, 3), (2, 5), (3, 4), (4, 5)}))
-    product, cmap = corona(g, h)
-
-    labels = [""] * product.n
-    for u, idx in enumerate(cmap.centers):
-        labels[idx] = f"({_T2_CENTERS[u]})"
-    for sat in cmap.satellites:
-        labels[sat.idx] = f"({_T2_CENTERS[sat.g]},{_T2_COPY[sat.h]})"
-
-    colors = tuple(_T2_COLORS[labels[v]] for v in range(product.n))
-    result = _checked_result("theorem2", product, Coloring(5, colors))
-    return Theorem2Fixture(product, cmap, result, tuple(labels), dict(_T2_CODES))
+    product, cmap = corona(generate("path", 3), h)
+    coloring = Coloring.from_json_dict(_load_data("theorem2_coloring.json"))
+    result = _checked_result("theorem2", product, coloring)
+    table = _load_data("theorem2_codes.json")
+    codes = {label: tuple(code) for label, code in table["codes"].items()}
+    return Theorem2Fixture(product, cmap, result, tuple(table["labels"]), codes)
 
 
 def empty_corona_coloring(g: Graph, k: int) -> ConstructionResult:
@@ -325,6 +304,29 @@ def tree_empty_corona_bounds(
     tags = {"m-plus-1": lower, "chiL-plus-m": upper}
     return BoundsReport(
         lower, upper, "m-plus-1", "chiL-plus-m", tags, lo != hi
+    )
+
+
+def best_corona_bounds(
+    g: Graph, h: Graph, budget: int = DEFAULT_BUDGET
+) -> BoundsReport:
+    """:func:`corona_bounds`, tightened by :func:`tree_empty_corona_bounds`
+    when G is a tree and H is edgeless.
+
+    Each end keeps the tag of the rule that supplied it; on a tie the
+    sandwich rule's tag wins. ``tags`` holds every rule's value.
+    """
+    report = corona_bounds(g, h, budget)
+    if h.num_edges or g.num_edges != g.n - 1:
+        return report
+    tree = tree_empty_corona_bounds(g, h.n, budget)
+    return BoundsReport(
+        max(report.lower, tree.lower),
+        min(report.upper, tree.upper),
+        report.lower_tag if report.lower >= tree.lower else tree.lower_tag,
+        report.upper_tag if report.upper <= tree.upper else tree.upper_tag,
+        {**report.tags, **tree.tags},
+        report.indeterminate or tree.indeterminate,
     )
 
 

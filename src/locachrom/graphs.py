@@ -7,7 +7,6 @@ operation returns a fresh value.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,6 +21,10 @@ SUBGRAPH_PATTERN_LIMIT = 64
 #: Largest order that :func:`parse_graph`, :func:`generate` and
 #: :func:`corona` build; a larger order is refused before any allocation.
 MAX_ORDER = 100_000
+
+#: Largest edge count that :func:`generate` builds; a larger size is
+#: refused before any allocation.
+MAX_SIZE = 1_000_000
 
 
 class InputError(ValueError):
@@ -108,9 +111,6 @@ class CoronaMap:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def _normalize_edge(a: int, b: int) -> tuple:
     return (a, b) if a < b else (b, a)
@@ -138,12 +138,21 @@ def generate(family: str, *params: int) -> Graph:
 
     Families: ``path n``, ``cycle n`` (n >= 3), ``star n`` (n >= 2),
     ``complete n``, ``empty n``, ``double_star a b`` (a, b >= 1). An order
-    above :data:`MAX_ORDER` raises :class:`InputError`.
+    above :data:`MAX_ORDER` or a size above :data:`MAX_SIZE` raises
+    :class:`InputError`.
     """
-    # The order is the one parameter, or a + b + 2 for double_star.
-    order = sum(params) + (2 if family == "double_star" else 0)
+    # Order and size from the parameters alone: n is the one parameter, or
+    # a + b for double_star, which has order n + 2 and size n + 1.
+    n = sum(params)
+    order = n + 2 if family == "double_star" else n
     if order > MAX_ORDER:
         raise InputError(f"order {order} exceeds the limit {MAX_ORDER}")
+    size = {
+        "path": n - 1, "cycle": n, "star": n - 1,
+        "complete": n * (n - 1) // 2, "double_star": n + 1,
+    }.get(family, 0)
+    if size > MAX_SIZE:
+        raise InputError(f"size {size} exceeds the limit {MAX_SIZE}")
     if family == "path":
         (n,) = params
         if n < 1:

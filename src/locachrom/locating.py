@@ -10,7 +10,6 @@ least k admitting a locating k-coloring.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 from .graphs import (
@@ -61,9 +60,6 @@ class Coloring:
     def to_json_dict(self) -> dict:
         return {"k": self.k, "colors": list(self.colors)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data) -> "Coloring":
         """Read ``{"k": <int>, "colors": [<int>, ...]}``.
@@ -92,9 +88,6 @@ class VerificationReport:
             "verdict": {"proper": self.proper, "locating": self.locating},
             "witness": self.witness,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ def test_criterion_1_theorem2_fixture():
         lc.generate("path", 3),
         lc.disjoint_union(lc.generate("path", 2), lc.generate("cycle", 4)),
     ).lower
-    assert lower == 5 == fx.result.colors_used
+    assert lower == 5 == fx.result.coloring.k
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report("1 (theorem2 fixture certifies chi_L = 5)", elapsed)
@@ -76,8 +76,9 @@ def test_criterion_3_empty_corona():
         for g in connected_graphs_up_to_iso(n):
             for k in range(max(2, n - 1), 5):
                 result = lc.empty_corona_coloring(g, k)
-                assert result.verified and result.colors_used == k + 1
                 prod, _ = lc.corona(g, lc.generate("empty", k))
+                assert result.coloring.k == k + 1
+                assert lc.verify(prod, result.coloring).locating
                 assert lc.locating_lower_bound(prod)[0] == k + 1
                 if prod.n <= 16 and k >= 1:
                     assert lc.find_locating_coloring(prod, k).status == INFEASIBLE
@@ -91,8 +92,9 @@ def test_criterion_4_star_theorem():
     start = time.perf_counter()
     for n in range(4, 51):
         result = lc.star_corona_coloring(n)
-        assert result.verified
-        assert result.colors_used == lc.star_corona_chi_L(n)
+        prod, _ = lc.corona(lc.generate("star", n), lc.generate("empty", 1))
+        assert lc.verify(prod, result.coloring).locating
+        assert result.coloring.k == lc.star_corona_chi_L(n)
     for n in (4, 5, 6):
         prod, _ = lc.corona(lc.generate("star", n), lc.generate("empty", 1))
         assert lc.chi_L(prod).value == lc.star_corona_chi_L(n)
@@ -127,8 +129,9 @@ def test_criterion_6_sandwich_property():
         bounds = lc.corona_bounds(g, h)
         f, c_list = lc.optimal_upper_parts(g, h)
         upper = lc.corona_upper_coloring(g, h, f, c_list)
-        assert upper.verified and upper.colors_used == bounds.upper
         prod, _ = lc.corona(g, h)
+        assert upper.coloring.k == bounds.upper
+        assert lc.verify(prod, upper.coloring).locating
         if prod.n <= 16:
             value = lc.chi_L(prod).value
             assert bounds.lower <= value <= bounds.upper

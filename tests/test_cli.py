@@ -1,6 +1,9 @@
 """CLI contract: subcommands, exit codes, and deterministic JSON."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +55,11 @@ class TestGen:
     def test_order_above_cap(self, refuse_graph_build, capsys):
         assert main(["gen", "path", str(lc.MAX_ORDER + 1)]) == EXIT_USAGE
         assert "exceeds the limit" in capsys.readouterr().err
+
+    def test_size_above_cap(self, refuse_graph_build, monkeypatch, capsys):
+        monkeypatch.setattr(lc.graphs, "MAX_SIZE", 9)
+        assert main(["gen", "complete", "5"]) == EXIT_USAGE
+        assert "size 10 exceeds the limit 9" in capsys.readouterr().err
 
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "g.graph"
@@ -114,7 +122,7 @@ class TestVerify:
         fx = lc.fixture_theorem2()
         g = write_graph(tmp_path / "t2.graph", fx.graph)
         c = tmp_path / "t2.coloring.json"
-        c.write_text(fx.result.coloring.to_json())
+        c.write_text(json.dumps(fx.result.coloring.to_json_dict()))
         assert main(["verify", g, str(c)]) == EXIT_OK
 
     def test_tampered_fixture(self, tmp_path, capsys):
@@ -125,7 +133,7 @@ class TestVerify:
         colors[i], colors[j] = colors[j], colors[i]
         g = write_graph(tmp_path / "t2.graph", fx.graph)
         c = tmp_path / "bad.coloring.json"
-        c.write_text(lc.Coloring(5, tuple(colors)).to_json())
+        c.write_text(json.dumps(lc.Coloring(5, tuple(colors)).to_json_dict()))
         assert main(["--format", "json", "verify", g, str(c)]) == EXIT_INVALID
         data = json.loads(capsys.readouterr().out)
         assert data["witness"] is not None
@@ -134,7 +142,7 @@ class TestVerify:
         g_obj = lc.generate("cycle", 5)
         g = write_graph(tmp_path / "c5.graph", g_obj)
         c = tmp_path / "c5.coloring.json"
-        c.write_text(lc.Coloring(5, (1, 2, 3, 4, 5)).to_json())
+        c.write_text(json.dumps(lc.Coloring(5, (1, 2, 3, 4, 5)).to_json_dict()))
         assert main(["verify", g, str(c)]) == EXIT_OK
 
 
@@ -168,19 +176,26 @@ class TestFixture:
     def test_theorem2_bundle(self, capsys):
         assert main(["--format", "json", "fixture", "theorem2"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
-        assert data["construction"]["verified"] is True
+        c = data["construction"]
+        assert sorted(c) == ["colors", "k", "source"] and c["k"] == 5
+        g = lc.parse_graph(data["graph"])
+        assert lc.verify(g, lc.Coloring.from_json_dict(c)).locating
         assert len(data["codes"]) == 21
         assert data["codes"]["(u)"] == [1, 1, 1, 1, 0]
 
     def test_star9(self, capsys):
         assert main(["--format", "json", "fixture", "star", "9"]) == EXIT_OK
-        data = json.loads(capsys.readouterr().out)
-        assert data["construction"]["k"] == 4 and data["construction"]["verified"]
+        c = json.loads(capsys.readouterr().out)["construction"]
+        assert c["k"] == 4
+        g, _ = lc.corona(lc.generate("star", 9), lc.generate("empty", 1))
+        assert lc.verify(g, lc.Coloring.from_json_dict(c)).locating
 
     def test_empty_corona(self, capsys):
         assert main(["--format", "json", "fixture", "empty-corona", "3", "3"]) == EXIT_OK
-        data = json.loads(capsys.readouterr().out)
-        assert data["construction"]["k"] == 4 and data["construction"]["verified"]
+        c = json.loads(capsys.readouterr().out)["construction"]
+        assert c["k"] == 4
+        g, _ = lc.corona(lc.generate("path", 3), lc.generate("empty", 3))
+        assert lc.verify(g, lc.Coloring.from_json_dict(c)).locating
 
     def test_bad_params(self):
         assert main(["fixture", "star"]) == EXIT_USAGE
@@ -230,6 +245,10 @@ class TestMalformedInput:
         c.write_text(text)
         self.assert_invalid(capsys, ["verify", p3_file, str(c)])
 
+    def test_bounds_with_empty_h(self, tmp_path, capsys, p3_file):
+        h = write_graph(tmp_path / "e0.graph", lc.generate("empty", 0))
+        self.assert_invalid(capsys, ["bounds", p3_file, h])
+
     def test_seed_flag_removed(self):
         assert main(["--seed", "1", "gen", "path", "2"]) == EXIT_USAGE
 
@@ -271,3 +290,20 @@ def test_json_output_is_deterministic(tmp_path, capsys):
         assert main(["--format", "json", "chil", g]) == EXIT_OK
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_startup_skips_importlib_resources():
+    # importlib.resources pulls in pathlib, tempfile, shutil, bz2, lzma and
+    # urllib: some 25 modules of start-up time and peak memory per run.
+    src = os.path.dirname(os.path.dirname(lc.__file__))
+    code = (
+        "import sys, locachrom.cli\n"
+        "assert 'importlib.resources' not in sys.modules, 'loaded on import'\n"
+        "assert locachrom.cli.main(['fixture', 'theorem2']) == 0\n"
+        "assert 'importlib.resources' not in sys.modules, 'loaded by fixture'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr

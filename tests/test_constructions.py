@@ -19,6 +19,10 @@ def p2_union_c4() -> lc.Graph:
     return lc.disjoint_union(lc.generate("path", 2), lc.generate("cycle", 4))
 
 
+def product(g: lc.Graph, h: lc.Graph) -> lc.Graph:
+    return lc.corona(g, h)[0]
+
+
 class TestCoronaBounds:
     def test_theorem2_pair(self):
         report = lc.corona_bounds(lc.generate("path", 3), p2_union_c4())
@@ -37,8 +41,22 @@ class TestCoronaBounds:
 
     def test_json_fields(self):
         report = lc.corona_bounds(lc.generate("path", 2), lc.generate("path", 2))
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_json_dict(), sort_keys=True))
         assert data["tags"] == {"join-component-max": 3, "construction-lemma4": 4}
+
+    def test_empty_h_rejected(self):
+        with pytest.raises(lc.InputError, match="at least one vertex"):
+            lc.corona_bounds(lc.generate("path", 2), lc.generate("empty", 0))
+
+    def test_best_bounds_add_the_tree_rule(self):
+        report = lc.best_corona_bounds(lc.generate("path", 6), lc.generate("empty", 2))
+        assert (report.lower, report.upper) == (3, 5)
+        # Both rules give 5 at the upper end; the sandwich rule's tag is kept.
+        assert (report.lower_tag, report.upper_tag) == ("m-plus-1", "construction-lemma4")
+        assert report.tags == {"join-component-max": 2, "construction-lemma4": 5,
+                               "m-plus-1": 3, "chiL-plus-m": 5}
+        g, h = lc.generate("path", 3), p2_union_c4()
+        assert lc.best_corona_bounds(g, h) == lc.corona_bounds(g, h)
 
 
 class TestCoronaUpperColoring:
@@ -47,7 +65,8 @@ class TestCoronaUpperColoring:
         result = lc.corona_upper_coloring(
             g, h, Coloring(2, (1, 2)), [Coloring(3, (1, 2, 3))]
         )
-        assert result.colors_used == 4 and result.verified
+        assert result.coloring.k == 4
+        assert lc.verify(product(g, h), result.coloring).locating
 
     def test_p3_pendants(self):
         g = lc.generate("path", 3)
@@ -55,7 +74,8 @@ class TestCoronaUpperColoring:
             g, lc.generate("empty", 1),
             Coloring(3, (1, 2, 3)), [Coloring(2, (1, 2))],
         )
-        assert result.colors_used == 4 and result.verified
+        assert result.coloring.k == 4
+        assert lc.verify(product(g, lc.generate("empty", 1)), result.coloring).locating
 
     def test_p2_two_p2_components(self):
         h = lc.disjoint_union(lc.generate("path", 2), lc.generate("path", 2))
@@ -64,7 +84,8 @@ class TestCoronaUpperColoring:
             Coloring(2, (1, 2)),
             [Coloring(3, (1, 2, 3)), Coloring(3, (1, 2, 3))],
         )
-        assert result.colors_used == 6 and result.verified
+        assert result.coloring.k == 6
+        assert lc.verify(product(lc.generate("path", 2), h), result.coloring).locating
 
     def test_apex_convention_enforced(self):
         g = h = lc.generate("path", 2)
@@ -86,8 +107,8 @@ class TestCoronaUpperColoring:
         h = p2_union_c4()
         f, c_list = lc.optimal_upper_parts(g, h)
         result = lc.corona_upper_coloring(g, h, f, c_list)
-        assert result.verified
-        assert result.colors_used == lc.corona_bounds(g, h).upper
+        assert lc.verify(product(g, h), result.coloring).locating
+        assert result.coloring.k == lc.corona_bounds(g, h).upper
 
 
 class TestTheorem2Fixture:
@@ -99,30 +120,49 @@ class TestTheorem2Fixture:
 
     def test_verified_with_five_colors(self):
         fx = lc.fixture_theorem2()
-        assert fx.result.verified and fx.result.colors_used == 5
+        assert fx.result.coloring.k == 5
+        assert lc.verify(fx.graph, fx.result.coloring).locating
 
     def test_shipped_data_files_match(self):
+        # The fixture reads its coloring, labels and codes from the data
+        # files; what it rebuilds (graph, map) must agree with the files,
+        # and the labels must name the vertices the map says they are.
         fx = lc.fixture_theorem2()
         data_dir = resources.files("locachrom.data")
         assert lc.parse_graph(
             data_dir.joinpath("theorem2_graph.txt").read_text()
         ) == fx.graph
-        shipped = json.loads(data_dir.joinpath("theorem2_coloring.json").read_text())
-        assert Coloring.from_json_dict(shipped) == fx.result.coloring
         table = json.loads(data_dir.joinpath("theorem2_codes.json").read_text())
-        assert table["labels"] == list(fx.labels)
-        assert {k: tuple(v) for k, v in table["codes"].items()} == fx.expected_codes
+        assert table["map"] == fx.corona_map.to_json_dict()
+        centers, copy = "uvw", "abpqrs"
+        labels = [""] * fx.graph.n
+        for u, idx in enumerate(fx.corona_map.centers):
+            labels[idx] = f"({centers[u]})"
+        for sat in fx.corona_map.satellites:
+            labels[sat.idx] = f"({centers[sat.g]},{copy[sat.h]})"
+        assert list(fx.labels) == labels
+        codes = lc.color_codes(fx.graph, fx.result.coloring)
+        assert table["codes"] == {
+            labels[v]: list(code) for v, code in enumerate(codes)
+        }
+
+    def test_independent_of_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        fx = lc.fixture_theorem2()
+        assert lc.verify(fx.graph, fx.result.coloring).locating
 
 
 class TestEmptyCorona:
     def test_p3_three_pendants(self):
         result = lc.empty_corona_coloring(lc.generate("path", 3), 3)
-        assert result.colors_used == 4 and result.verified
+        assert result.coloring.k == 4
+        prod = product(lc.generate("path", 3), lc.generate("empty", 3))
+        assert lc.verify(prod, result.coloring).locating
 
     def test_p2_two_pendants(self):
         result = lc.empty_corona_coloring(lc.generate("path", 2), 2)
-        assert result.colors_used == 3 and result.verified
-        prod, _ = lc.corona(lc.generate("path", 2), lc.generate("empty", 2))
+        prod = product(lc.generate("path", 2), lc.generate("empty", 2))
+        assert result.coloring.k == 3 and lc.verify(prod, result.coloring).locating
         assert lc.locating_lower_bound(prod)[0] == 3
 
     def test_order_guard(self):
@@ -138,7 +178,8 @@ class TestStarCorona:
     def test_n4_exact_colors(self):
         # Frozen from the construction formula, confirmed by verify.
         result = lc.star_corona_coloring(4)
-        assert result.verified
+        prod = product(lc.generate("star", 4), lc.generate("empty", 1))
+        assert lc.verify(prod, result.coloring).locating
         colors = result.coloring.colors
         assert colors[0] == 1 and colors[4] == 3          # x, y
         assert colors[1:4] == (2, 2, 3)                   # x_1..x_3
@@ -147,8 +188,9 @@ class TestStarCorona:
     @pytest.mark.parametrize("n", [9, 16])
     def test_verified(self, n):
         result = lc.star_corona_coloring(n)
-        assert result.verified
-        assert result.colors_used == lc.star_corona_chi_L(n)
+        prod = product(lc.generate("star", n), lc.generate("empty", 1))
+        assert lc.verify(prod, result.coloring).locating
+        assert result.coloring.k == lc.star_corona_chi_L(n)
 
     def test_minimum_order(self):
         with pytest.raises(lc.InputError):

@@ -86,6 +86,24 @@ class TestGenerate:
     def test_order_at_cap_accepted(self):
         assert lc.generate("empty", lc.MAX_ORDER).n == lc.MAX_ORDER
 
+    @pytest.mark.parametrize("family,params", [
+        ("complete", (6,)), ("cycle", (11,)), ("path", (12,)), ("star", (12,)),
+        ("double_star", (5, 5)),
+    ])
+    def test_size_above_cap_refused(self, refuse_graph_build, monkeypatch,
+                                    family, params):
+        monkeypatch.setattr(lc.graphs, "MAX_SIZE", 10)
+        with pytest.raises(lc.InputError, match="size 1[1-5] exceeds the limit 10"):
+            lc.generate(family, *params)
+
+    @pytest.mark.parametrize("family,params,size", [
+        ("complete", (5,), 10), ("cycle", (10,), 10), ("path", (11,), 10),
+        ("star", (11,), 10), ("double_star", (4, 5), 10), ("empty", (50,), 0),
+    ])
+    def test_size_at_cap_accepted(self, monkeypatch, family, params, size):
+        monkeypatch.setattr(lc.graphs, "MAX_SIZE", 10)
+        assert lc.generate(family, *params).num_edges == size
+
 
 class TestOperators:
     def test_union_p2_c4(self):
