@@ -107,9 +107,20 @@ def corona_bounds(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> BoundsRep
     components with one apex vertex. Upper: that of G plus the sum of
     (each join value minus one). Both sides use the exact solver. H must
     have at least one vertex.
+
+    A G of order 1 has no value of its own, but K1 (.) H is the join
+    K1 + H, so both ends are that join's value (or its interval when the
+    budget runs out), tagged ``k1-join-*``. The join-max lower bound alone
+    is not tight there for a disconnected H: K1 (.) E2 = P3 has value 3.
     """
     if h.n == 0:
         raise InputError("corona bounds require H with at least one vertex")
+    if g.n == 1:
+        lower, upper = _interval(chi_L(join_with_k1(h), budget))
+        tags = {"k1-join-lower": lower, "k1-join-upper": upper}
+        return BoundsReport(
+            lower, upper, "k1-join-lower", "k1-join-upper", tags, lower != upper
+        )
     component_joins = [
         join_with_k1(induced_subgraph(h, comp))
         for comp in connected_components(h)
@@ -317,7 +328,7 @@ def best_corona_bounds(
     sandwich rule's tag wins. ``tags`` holds every rule's value.
     """
     report = corona_bounds(g, h, budget)
-    if h.num_edges or g.num_edges != g.n - 1:
+    if g.n == 1 or h.num_edges or g.num_edges != g.n - 1:
         return report
     tree = tree_empty_corona_bounds(g, h.n, budget)
     return BoundsReport(

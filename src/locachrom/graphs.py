@@ -22,8 +22,8 @@ SUBGRAPH_PATTERN_LIMIT = 64
 #: :func:`corona` build; a larger order is refused before any allocation.
 MAX_ORDER = 100_000
 
-#: Largest edge count that :func:`generate` builds; a larger size is
-#: refused before any allocation.
+#: Largest edge count that :func:`generate` and :func:`corona` build; a
+#: larger size is refused before any allocation.
 MAX_SIZE = 1_000_000
 
 
@@ -250,13 +250,18 @@ def corona(g: Graph, h: Graph) -> tuple:
 
     Vertex numbering: centers 0..n-1 in G's order, then one copy of H per
     center in G-vertex order; inside a copy, vertices follow the canonical
-    component order, ascending within each component.
+    component order, ascending within each component. A product order
+    above :data:`MAX_ORDER` or size above :data:`MAX_SIZE` raises
+    :class:`SizeLimitError`.
     """
     if g.n < 1:
         raise InputError("corona requires |V(G)| >= 1")
     order = g.n * (1 + h.n)
     if order > MAX_ORDER:
         raise SizeLimitError(f"product order {order} exceeds the limit {MAX_ORDER}")
+    size = g.num_edges + g.n * (h.n + h.num_edges)
+    if size > MAX_SIZE:
+        raise SizeLimitError(f"product size {size} exceeds the limit {MAX_SIZE}")
     comps = connected_components(h)
     copy_order = [v for comp in comps for v in comp]
     comp_of = {}

@@ -233,6 +233,32 @@ def locating_lower_bound(g: Graph) -> tuple:
     return best, tag
 
 
+def _settled_pairs(order: list, rows: list) -> list:
+    """Per depth t, the pairs of earlier vertices that settle at t.
+
+    Vertices u and v at depths a < b settle at the first depth t > b from
+    which every later vertex is equidistant from both: from then on each
+    assignment lowers their two ``near`` columns alike, so columns equal at
+    depth t stay equal to the leaf. Pairs that settle only at the leaf are
+    left to the leaf check and not listed, so a pair is a candidate only
+    when the last vertex is equidistant from both.
+    """
+    n = len(order)
+    settled = [[] for _ in order]
+    last_row = rows[-1]
+    earlier = {}  # distance to the last vertex -> depths seen so far
+    for b in range(n - 1):
+        vb, rb = order[b], rows[b]
+        group = earlier.setdefault(last_row[vb], [])
+        for a in group:
+            ra, j = rows[a], n - 2
+            while j > b and ra[order[j]] == rb[order[j]]:
+                j -= 1
+            settled[j + 1].append((order[a], vb))
+        group.append(b)
+    return settled
+
+
 def find_locating_coloring(
     g: Graph, k: int, budget: int = DEFAULT_BUDGET
 ) -> SearchResult:
@@ -241,17 +267,24 @@ def find_locating_coloring(
     Deterministic backtracking on an explicit stack, so its depth is not
     bounded by Python's recursion limit: vertices in descending-degree
     order, colors introduced first-occurrence-ordered to break the color
-    permutation symmetry. Each frame computes once the colors blocked by
-    its earlier neighbors and earlier twins, and a frame too deep to still
-    introduce every missing color is cut. Each color tried, blocked or not,
-    is one node; the search stops at node budget + 1.
+    permutation symmetry. Twins take increasing colors in search order
+    (swapping two twins' colors is an automorphism), so a vertex's colors
+    start one above its latest earlier twin's. Each frame computes once
+    the colors blocked by its earlier neighbors, and a frame too deep to
+    still introduce every missing color is cut. Each color tried, blocked
+    or not, is one node; the search stops at node budget + 1.
 
     ``near[c]`` holds d(w, C_c) for every w over the vertices colored c so
     far (n while C_c is empty). Coloring v with c saves ``near[c]`` and
     replaces it by its elementwise minimum with v's distance row, O(n);
-    undoing restores the saved list. Code distinctness is only decidable on
-    complete assignments, where the codes are the columns of ``near``:
-    an O(nk) check per leaf.
+    undoing restores the saved list. On entering depth t, a pair that
+    settles there (:func:`_settled_pairs`) with equal ``near`` columns
+    would collide at the leaf, so the frame is cut. The leaf reads the
+    codes off the columns of ``near``: an O(nk) check.
+
+    Neither symmetry cut can remove the lexicographically smallest
+    locating coloring in search order, which is the one returned, so the
+    certificates and verdicts are those of the search without them.
     """
     _require_connected(g)
     if not (1 <= k <= g.n):
@@ -265,16 +298,20 @@ def find_locating_coloring(
     dist = all_pairs_distances(g)
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     pos = {v: i for i, v in enumerate(order)}
-    twin_of = {v: cls for cls in twins for v in cls}
-    # Per depth: the distance row, and the earlier neighbors and twins.
+    # Per depth: the distance row, the earlier neighbors, the latest earlier
+    # twin (n, whose color stays 0, when there is none) and the pairs that
+    # settle there.
     rows = [dist[v] for v in order]
-    blockers = [
-        [w for w in (*g.adjacency[v], *twin_of[v]) if pos[w] < pos[v]]
-        for v in order
-    ]
+    blockers = [[w for w in g.adjacency[v] if pos[w] < pos[v]] for v in order]
+    twin_id = {v: cls[0] for cls in twins for v in cls}
+    latest, last_twin = {}, []
+    for v in order:
+        last_twin.append(latest.get(twin_id[v], n))
+        latest[twin_id[v]] = v
+    settled = _settled_pairs(order, rows)
 
-    assignment = [0] * n
-    near = [[n] * n for _ in range(k + 1)]  # near[0] is unused
+    assignment = [0] * (n + 1)
+    near = [[n] * n for _ in range(k + 1)]  # near[0] is never changed
     # Per depth: next color, blocked colors, colors used before it, and the
     # near list its current color replaced.
     nxt, blocked, used, saved = [0] * n, [None] * n, [0] * (n + 1), [None] * n
@@ -283,11 +320,15 @@ def find_locating_coloring(
     while i >= 0:
         if fresh:
             if i == n and used[n] == k and len(set(zip(*near[1:]))) == n:
-                return SearchResult(FOUND, Coloring(k, tuple(assignment)), nodes)
-            if i == n or used[i] + n - i < k:
+                return SearchResult(FOUND, Coloring(k, tuple(assignment[:n])), nodes)
+            if i == n or used[i] + n - i < k or settled[i] and any(
+                assignment[u] == assignment[v]
+                and all(col[u] == col[v] for col in near)
+                for u, v in settled[i]
+            ):
                 i, fresh = i - 1, False
                 continue
-            color = 1
+            color = assignment[last_twin[i]] + 1
             blocked[i] = {assignment[w] for w in blockers[i]}
         else:
             color = nxt[i]

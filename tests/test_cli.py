@@ -89,6 +89,13 @@ class TestCorona:
     def test_missing_input(self, tmp_path, p2_file):
         assert main(["corona", p2_file, str(tmp_path / "absent.graph")]) == EXIT_IO
 
+    def test_product_size_above_cap(self, p3_file, p2_file, monkeypatch, capsys):
+        monkeypatch.setattr(lc.graphs, "MAX_SIZE", 10)
+        assert main(["corona", p3_file, p2_file]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "product size 11 exceeds the limit 10" in captured.err
+
 
 class TestChil:
     def test_p2_p2_product(self, tmp_path, capsys):
@@ -170,6 +177,26 @@ class TestBounds:
         assert main(["--format", "json", "bounds", g, h]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert data["lower"] == 3 and data["upper"] == 4
+
+    @pytest.mark.parametrize("h,value", [
+        (lc.generate("path", 2), 3), (lc.generate("empty", 2), 3),
+        (lc.generate("cycle", 4), 5),
+    ], ids=["P2", "E2", "C4"])
+    def test_k1_g(self, tmp_path, capsys, h, value):
+        g = write_graph(tmp_path / "k1.graph", lc.generate("path", 1))
+        hfile = write_graph(tmp_path / "h.graph", h)
+        assert main(["--format", "json", "bounds", g, hfile]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert (data["lower"], data["upper"]) == (value, value)
+        assert (data["lower_tag"], data["upper_tag"]) == ("k1-join-lower", "k1-join-upper")
+
+    def test_k1_g_budget_exhausted(self, tmp_path, capsys):
+        g = write_graph(tmp_path / "k1.graph", lc.generate("path", 1))
+        h = write_graph(tmp_path / "c4.graph", lc.generate("cycle", 4))
+        assert main(["--budget", "1", "bounds", g, h]) == EXIT_INDETERMINATE
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "lower = 3 (k1-join-lower)", "upper = 5 (k1-join-upper)",
+        ]
 
 
 class TestFixture:

@@ -58,6 +58,26 @@ class TestCoronaBounds:
         g, h = lc.generate("path", 3), p2_union_c4()
         assert lc.best_corona_bounds(g, h) == lc.corona_bounds(g, h)
 
+    @pytest.mark.parametrize("h", [
+        lc.generate("path", 2), lc.generate("empty", 2), lc.generate("path", 3),
+        lc.generate("cycle", 4),
+    ], ids=["P2", "E2", "P3", "C4"])
+    def test_k1_corona_is_the_join(self, h):
+        # K1 (.) H = K1 + H; the value comes from the independent oracle. For
+        # E2 it is 3 (P3), above the join-max rule's 2.
+        value = lc.brute_force_chi_L(lc.join_with_k1(h))
+        k1 = lc.generate("path", 1)
+        report = lc.best_corona_bounds(k1, h)
+        assert report == lc.corona_bounds(k1, h)
+        assert (report.lower, report.upper, report.indeterminate) == (value, value, False)
+        assert (report.lower_tag, report.upper_tag) == ("k1-join-lower", "k1-join-upper")
+        assert report.tags == {"k1-join-lower": value, "k1-join-upper": value}
+
+    def test_k1_corona_interval_on_budget_exhaustion(self):
+        report = lc.corona_bounds(lc.generate("path", 1), lc.generate("cycle", 4), budget=1)
+        assert (report.lower, report.upper, report.indeterminate) == (3, 5, True)
+        assert report.tags == {"k1-join-lower": 3, "k1-join-upper": 5}
+
 
 class TestCoronaUpperColoring:
     def test_p2_p2(self):

@@ -146,6 +146,19 @@ class TestCorona:
         with pytest.raises(SizeLimitError, match="exceeds the limit"):
             lc.corona(lc.generate("path", 317), lc.generate("path", 315))
 
+    def test_product_size_above_cap_refused(self, monkeypatch):
+        # P3 (.) P2: 2 + 3 * (2 + 1) = 11 edges.
+        g, h = lc.generate("path", 3), lc.generate("path", 2)
+        monkeypatch.setattr(lc.graphs, "MAX_SIZE", 10)
+        monkeypatch.setattr(lc.graphs, "Graph", None)  # nothing is built
+        with pytest.raises(SizeLimitError, match="size 11 exceeds the limit 10"):
+            lc.corona(g, h)
+
+    def test_product_size_at_cap_accepted(self, monkeypatch):
+        monkeypatch.setattr(lc.graphs, "MAX_SIZE", 11)
+        prod, _ = lc.corona(lc.generate("path", 3), lc.generate("path", 2))
+        assert prod.num_edges == 11
+
     def test_p2_pendants_is_p4(self):
         # Expected value computed by the brute-force isomorphism oracle.
         prod, _ = lc.corona(lc.generate("path", 2), lc.generate("empty", 1))

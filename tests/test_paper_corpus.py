@@ -1,0 +1,59 @@
+"""The paper's 27 corona instances at a 5e4-node budget: every value is
+its reference and re-verifies, every interval contains its reference, and
+the resolved count and total search nodes are pinned."""
+
+import math
+
+import locachrom as lc
+from locachrom import locating
+
+BUDGET = 50_000
+
+SOLVER = "solver at budget 2e6"
+
+
+def paper_corpus():
+    """(label, G, H, reference value, source of the reference)."""
+    path = lambda n: lc.generate("path", n)
+    items = [("P2(.)P2", path(2), path(2), 4, "paper: P2 (.) P2 = 4")]
+    for a, b, value in [(3, 2, 4), (3, 3, 5), (4, 2, 4), (4, 3, 5), (5, 2, 4),
+                        (3, 4, 5), (5, 3, 5), (6, 2, 4)]:
+        items.append((f"P{a}(.)P{b}", path(a), path(b), value, SOLVER))
+    for n in range(4, 17):
+        items.append((f"star{n}(.)K1", lc.generate("star", n), lc.generate("empty", 1),
+                      math.isqrt(n - 1) + 2, "paper: ceil(sqrt(n)) + 1"))
+    for a, k in [(3, 3), (4, 3), (4, 4), (5, 4)]:
+        items.append((f"P{a}(.)E{k}", path(a), lc.generate("empty", k), k + 1,
+                      "paper: edgeless copies, k + 1"))
+    p2_c4 = lc.make_graph(6, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)])
+    items.append(("P3(.)(P2uC4)", path(3), p2_c4, 5, "paper: Theorem 2"))
+    return items
+
+
+def test_paper_corpus_at_benchmark_budget(monkeypatch):
+    nodes = []
+    search = locating.find_locating_coloring
+
+    def counted(*args):
+        result = search(*args)
+        nodes.append(result.nodes)
+        return result
+
+    monkeypatch.setattr(locating, "find_locating_coloring", counted)
+    resolved = []
+    corpus = paper_corpus()
+    assert len(corpus) == 27
+    for label, g, h, reference, source in corpus:
+        product, _ = lc.corona(g, h)
+        # Uncached, so every search runs and is counted.
+        result = locating.chi_L.__wrapped__(product, BUDGET)
+        if result.value is None:
+            lo, hi = result.interval
+            assert lo <= reference <= hi, (label, source)
+            continue
+        assert result.value == reference, (label, source)
+        assert result.certificate.k == reference
+        assert lc.verify(product, result.certificate).locating, label
+        resolved.append(label)
+    assert len(resolved) >= 19, resolved
+    assert sum(nodes) == 600_301

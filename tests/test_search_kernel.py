@@ -1,5 +1,6 @@
 """The search kernel against its recursive predecessor, kept here only as a
-reference: same status, same node count and same first coloring."""
+prune-free reference: the kernel's twin-order and settled-pair cuts may
+only remove nodes, never change a verdict or the first coloring."""
 
 from itertools import combinations
 
@@ -95,11 +96,24 @@ def reference_find_locating_coloring(g, k, budget):
 
 
 def assert_same_search(g, k):
-    # Tiny budgets, and the budgets on either side of the full search.
-    full = reference_find_locating_coloring(g, k, lc.DEFAULT_BUDGET).nodes
-    for budget in sorted({1, 2, 3, full - 1, full, full + 1} - {0}):
-        expected = reference_find_locating_coloring(g, k, budget)
-        assert lc.find_locating_coloring(g, k, budget) == expected, (g, k, budget)
+    # At an unlimited budget: the reference's verdict and coloring, in no
+    # more nodes. At any budget: a decided result is that verdict, every
+    # budget the reference decides within is one the kernel decides within,
+    # and the budget is honoured exactly.
+    ref = reference_find_locating_coloring(g, k, lc.DEFAULT_BUDGET)
+    got = lc.find_locating_coloring(g, k, lc.DEFAULT_BUDGET)
+    assert (got.status, got.coloring) == (ref.status, ref.coloring), (g, k)
+    assert got.nodes <= ref.nodes, (g, k)
+    edges = {1, 2, 3, got.nodes - 1, got.nodes, got.nodes + 1,
+             ref.nodes - 1, ref.nodes, ref.nodes + 1}
+    for budget in sorted(b for b in edges if b > 0):
+        result = lc.find_locating_coloring(g, k, budget)
+        if budget >= got.nodes:
+            assert result == got, (g, k, budget)
+        else:
+            assert result == SearchResult(BUDGET_EXHAUSTED, None, budget + 1)
+        if budget >= ref.nodes:
+            assert result.status != BUDGET_EXHAUSTED, (g, k, budget)
 
 
 @st.composite
@@ -135,21 +149,24 @@ def corona_of(g, h):
     return lc.corona(g, h)[0]
 
 
-# (status, nodes) recorded with the recursive kernel at budget 5e4.
-@pytest.mark.parametrize("build,k,status,nodes", [
-    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 104),
-    (lambda: lc.fixture_theorem2().graph, 5, BUDGET_EXHAUSTED, 50_001),
+# (status, nodes) at budget 5e4, and the node count the reference kernel
+# without the twin-order and settled-pair cuts recorded there (50,001 is its
+# exhausted budget), which bounds this kernel's count.
+@pytest.mark.parametrize("build,k,status,nodes,reference_nodes", [
+    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 53, 104),
+    (lambda: lc.fixture_theorem2().graph, 5, FOUND, 41_626, 50_001),
     (lambda: corona_of(lc.generate("star", 8), lc.generate("path", 1)),
-     3, INFEASIBLE, 49_152),
+     3, INFEASIBLE, 2_208, 49_152),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     3, INFEASIBLE, 2_256),
+     3, INFEASIBLE, 100, 2_256),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     4, FOUND, 13_523),
+     4, FOUND, 624, 13_523),
 ], ids=["theorem2-k4", "theorem2-k5", "star8-k1-k3", "p5-p2-k3", "p5-p2-k4"])
-def test_pinned_node_counts(build, k, status, nodes):
+def test_pinned_node_counts(build, k, status, nodes, reference_nodes):
     g = build()
     result = lc.find_locating_coloring(g, k, budget=50_000)
     assert (result.status, result.nodes) == (status, nodes)
+    assert result.nodes <= reference_nodes
     if status == FOUND:
         assert lc.verify(g, result.coloring).locating
 
