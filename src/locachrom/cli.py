@@ -113,7 +113,7 @@ def build_parser() -> _Parser:
 def _cmd_gen(args) -> int:
     try:
         g = graphs.generate(args.family, *args.params)
-    except (graphs.InputError, TypeError, ValueError) as exc:
+    except graphs.InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = graphs.serialize_graph(g)
@@ -234,6 +234,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.budget <= 0:
             raise UsageError("--budget must be positive")
+        if args.format == "json" and any(
+            getattr(args, name, None) for name in ("output", "map_out")
+        ):
+            raise UsageError("-o and --map-out cannot be combined with --format json")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

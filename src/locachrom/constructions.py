@@ -18,8 +18,10 @@ from .graphs import (
     InputError,
     connected_components,
     corona,
+    disjoint_union,
     generate,
     induced_subgraph,
+    is_connected,
     join_with_k1,
     subgraph_isomorphic,
 )
@@ -28,7 +30,6 @@ from .locating import (
     ChiLResult,
     Coloring,
     chi_L,
-    locating_lower_bound,
     verify,
 )
 
@@ -100,6 +101,11 @@ def _interval(result: ChiLResult) -> tuple:
     return result.interval
 
 
+def _component_joins(h: Graph) -> list:
+    """(C, K1 + H[C]) for each component C of H, in canonical order."""
+    return [(c, join_with_k1(induced_subgraph(h, c))) for c in connected_components(h)]
+
+
 def corona_bounds(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> BoundsReport:
     """Sandwich bounds for the corona product.
 
@@ -121,11 +127,7 @@ def corona_bounds(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> BoundsRep
         return BoundsReport(
             lower, upper, "k1-join-lower", "k1-join-upper", tags, lower != upper
         )
-    component_joins = [
-        join_with_k1(induced_subgraph(h, comp))
-        for comp in connected_components(h)
-    ]
-    join_vals = [_interval(chi_L(q, budget)) for q in component_joins]
+    join_vals = [_interval(chi_L(q, budget)) for _, q in _component_joins(h)]
     g_val = _interval(chi_L(g, budget))
 
     lower = max(lo for lo, _ in join_vals)
@@ -151,15 +153,14 @@ def corona_upper_coloring(
     """
     if not verify(g, f).locating:
         raise InputError("f is not a locating coloring of G")
-    comps = connected_components(h)
-    if len(c_list) != len(comps):
+    parts = _component_joins(h)
+    if len(c_list) != len(parts):
         raise InputError(
-            f"expected {len(comps)} component colorings, got {len(c_list)}"
+            f"expected {len(parts)} component colorings, got {len(c_list)}"
         )
     block_sizes = []
     local_index = []
-    for t, (comp, c_t) in enumerate(zip(comps, c_list), start=1):
-        joined = join_with_k1(induced_subgraph(h, comp))
+    for t, ((comp, joined), c_t) in enumerate(zip(parts, c_list), start=1):
         if not verify(joined, c_t).locating:
             raise InputError(f"component coloring {t} is not locating")
         apex = joined.n - 1
@@ -172,8 +173,8 @@ def corona_upper_coloring(
         local_index.append({v: i for i, v in enumerate(comp)})
 
     l = f.k
-    offsets = [0] * len(comps)
-    for t in range(1, len(comps)):
+    offsets = [0] * len(parts)
+    for t in range(1, len(parts)):
         offsets[t] = offsets[t - 1] + block_sizes[t - 1] - 1
 
     product, cmap = corona(g, h)
@@ -202,8 +203,7 @@ def optimal_upper_parts(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> tup
     if f.value is None:
         raise ConstructionError("budget exhausted while coloring G")
     c_list = []
-    for comp in connected_components(h):
-        joined = join_with_k1(induced_subgraph(h, comp))
+    for _, joined in _component_joins(h):
         result = chi_L(joined, budget)
         if result.value is None:
             raise ConstructionError("budget exhausted on a component join")
@@ -232,7 +232,7 @@ def fixture_theorem2() -> Theorem2Fixture:
     and its corona map are rebuilt here.
     """
     # H = P2 on {a=0, b=1} union C4 on {p=2, q=3, r=4, s=5}.
-    h = Graph(6, frozenset({(0, 1), (2, 3), (2, 5), (3, 4), (4, 5)}))
+    h = disjoint_union(generate("path", 2), generate("cycle", 4))
     product, cmap = corona(generate("path", 3), h)
     coloring = Coloring.from_json_dict(_load_data("theorem2_coloring.json"))
     result = _checked_result("theorem2", product, coloring)
@@ -342,8 +342,6 @@ def best_corona_bounds(
 
 
 def _require_tree(t: Graph):
-    from .graphs import is_connected
-
     if t.n < 2 or not is_connected(t) or t.num_edges != t.n - 1:
         raise InputError("expected a tree with at least 2 vertices")
 

@@ -100,7 +100,6 @@ class CoronaMap:
 
     centers: tuple
     satellites: tuple
-    components: tuple
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,15 +143,20 @@ def generate(family: str, *params: int) -> Graph:
     # Order and size from the parameters alone: n is the one parameter, or
     # a + b for double_star, which has order n + 2 and size n + 1.
     n = sum(params)
+    sizes = {
+        "path": n - 1, "cycle": n, "star": n - 1, "empty": 0,
+        "complete": n * (n - 1) // 2, "double_star": n + 1,
+    }
+    if family not in sizes:
+        raise InputError(f"unknown family {family!r}")
+    arity = 2 if family == "double_star" else 1
+    if len(params) != arity:
+        raise InputError(f"{family} takes {arity} parameter(s), got {len(params)}")
     order = n + 2 if family == "double_star" else n
     if order > MAX_ORDER:
         raise InputError(f"order {order} exceeds the limit {MAX_ORDER}")
-    size = {
-        "path": n - 1, "cycle": n, "star": n - 1,
-        "complete": n * (n - 1) // 2, "double_star": n + 1,
-    }.get(family, 0)
-    if size > MAX_SIZE:
-        raise InputError(f"size {size} exceeds the limit {MAX_SIZE}")
+    if sizes[family] > MAX_SIZE:
+        raise InputError(f"size {sizes[family]} exceeds the limit {MAX_SIZE}")
     if family == "path":
         (n,) = params
         if n < 1:
@@ -187,7 +191,6 @@ def generate(family: str, *params: int) -> Graph:
         edges += [(0, 2 + i) for i in range(a)]
         edges += [(1, 2 + a + i) for i in range(b)]
         return make_graph(2 + a + b, edges)
-    raise InputError(f"unknown family {family!r}")
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -281,7 +284,7 @@ def corona(g: Graph, h: Graph) -> tuple:
             edges.add(_normalize_edge(pos[a], pos[b]))
 
     product = Graph(g.n * (1 + h.n), frozenset(edges))
-    cmap = CoronaMap(tuple(range(g.n)), tuple(satellites), tuple(comps))
+    cmap = CoronaMap(tuple(range(g.n)), tuple(satellites))
     return product, cmap
 
 

@@ -200,22 +200,15 @@ def twin_classes(g: Graph) -> list:
 def locating_lower_bound(g: Graph) -> tuple:
     """Best known lower bound with the tag of the binding rule.
 
-    Rules: the trivial bound 2; one more than the largest number of
-    endpoints sharing a neighbor; the largest twin class, plus one when
-    some outside vertex is adjacent to the whole class.
+    Rules: the trivial bound 2; the largest twin class, plus one when
+    some outside vertex is adjacent to the whole class. The endpoints on
+    a vertex are such a class, so this covers the endpoint corollary.
     """
     _require_connected(g)
     if g.n < 2:
         raise InputError("lower bound requires order >= 2")
 
     best, tag = 2, "trivial-order"
-
-    endpoints = {v for v in range(g.n) if g.degree(v) == 1}
-    for v in range(g.n):
-        k = sum(1 for w in g.adjacency[v] if w in endpoints)
-        if k + 1 > best:
-            best, tag = k + 1, "endpoint-corollary"
-
     for cls in twin_classes(g):
         if len(cls) < 2:
             continue
@@ -259,6 +252,11 @@ def _settled_pairs(order: list, rows: list) -> list:
     return settled
 
 
+def _search_order(g: Graph) -> list:
+    """The vertices by descending degree, ties by index."""
+    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+
+
 def find_locating_coloring(
     g: Graph, k: int, budget: int = DEFAULT_BUDGET
 ) -> SearchResult:
@@ -296,7 +294,7 @@ def find_locating_coloring(
 
     n = g.n
     dist = all_pairs_distances(g)
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    order = _search_order(g)
     pos = {v: i for i, v in enumerate(order)}
     # Per depth: the distance row, the earlier neighbors, the latest earlier
     # twin (n, whose color stays 0, when there is none) and the pairs that
@@ -357,22 +355,25 @@ def find_locating_coloring(
 def chi_L(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiLResult:
     """Exact locating-chromatic number with a verifiable certificate.
 
-    Iterates k upward from the lower bound; feasibility is not assumed
-    monotone in k. Always terminates by k = n since the all-distinct
-    coloring is locating. On budget exhaustion at some k the result is
-    the interval [k, n].
+    Searches k from the lower bound to n - 1, each within ``budget``;
+    feasibility is not assumed monotone in k. Exhaustion at some k gives
+    the interval [k, n]. If all are refuted, n is certified without search
+    by the all-distinct coloring in search order, as a search at k = n finds.
     """
     _require_connected(g)
     if g.n < 2:
         raise InputError("locating-chromatic number requires order >= 2")
     start, _ = locating_lower_bound(g)
-    for k in range(start, g.n + 1):
+    for k in range(start, g.n):
         result = find_locating_coloring(g, k, budget)
         if result.status == FOUND:
             return ChiLResult(k, result.coloring)
         if result.status == BUDGET_EXHAUSTED:
             return ChiLResult(None, None, (k, g.n))
-    raise AssertionError("unreachable: the all-distinct coloring is locating")
+    colors = [0] * g.n
+    for i, v in enumerate(_search_order(g)):
+        colors[v] = i + 1
+    return ChiLResult(g.n, Coloring(g.n, tuple(colors)))
 
 
 def brute_force_chi_L(g: Graph) -> int:

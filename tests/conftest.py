@@ -26,6 +26,15 @@ def all_trees(max_order: int) -> list:
     ]
 
 
+def atlas_connected(max_order: int) -> list:
+    """Every connected graph on 2..max_order vertices, up to isomorphism,
+    from networkx's graph atlas (all graphs on at most 7 vertices)."""
+    return [
+        from_networkx(G) for G in nx.graph_atlas_g()
+        if 2 <= G.number_of_nodes() <= max_order and nx.is_connected(G)
+    ]
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> lc.Graph:
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     return lc.make_graph(n, edges)

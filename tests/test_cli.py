@@ -66,6 +66,17 @@ class TestGen:
         assert main(["gen", "path", "4", "-o", str(out)]) == EXIT_OK
         assert lc.parse_graph(out.read_text()) == lc.generate("path", 4)
 
+    @pytest.mark.parametrize("argv", [["path"], ["path", "1", "2"], ["double_star", "1"]])
+    def test_wrong_parameter_count(self, argv, capsys):
+        assert main(["gen", *argv]) == EXIT_USAGE
+        assert f"usage error: {argv[0]} takes" in capsys.readouterr().err
+
+    def test_output_file_refused_in_json_mode(self, tmp_path, capsys):
+        out = tmp_path / "x.g"
+        assert main(["--format", "json", "gen", "path", "4", "-o", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
 
 class TestCorona:
     def test_theorem2_product(self, tmp_path, capsys):
@@ -88,6 +99,14 @@ class TestCorona:
 
     def test_missing_input(self, tmp_path, p2_file):
         assert main(["corona", p2_file, str(tmp_path / "absent.graph")]) == EXIT_IO
+
+    @pytest.mark.parametrize("flags", [["-o"], ["--map-out"], ["-o", "--map-out"]])
+    def test_output_files_refused_in_json_mode(self, tmp_path, p2_file, flags, capsys):
+        paths = [str(tmp_path / f"out{i}") for i in range(len(flags))]
+        argv = [arg for pair in zip(flags, paths) for arg in pair]
+        assert main(["--format", "json", "corona", p2_file, p2_file, *argv]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert not any(os.path.exists(p) for p in paths)
 
     def test_product_size_above_cap(self, p3_file, p2_file, monkeypatch, capsys):
         monkeypatch.setattr(lc.graphs, "MAX_SIZE", 10)
@@ -122,6 +141,14 @@ class TestChil:
 
     def test_bad_budget(self):
         assert main(["--budget", "0", "chil", "whatever"]) == EXIT_USAGE
+
+    def test_order_certified_without_search(self, tmp_path, capsys):
+        # chi_L(K3) = 3 = n needs no search, so a budget of 2 nodes decides it.
+        g = write_graph(tmp_path / "k3.graph", lc.generate("complete", 3))
+        assert main(["--format", "json", "--budget", "2", "chil", g]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            '{"certificate": {"colors": [1, 2, 3], "k": 3}, "value": 3}\n'
+        )
 
 
 class TestVerify:

@@ -76,6 +76,17 @@ class TestGenerate:
             lc.generate(family, *params)
 
     @pytest.mark.parametrize("family,params", [
+        ("path", ()), ("path", (1, 2)), ("double_star", (1,)),
+    ])
+    def test_wrong_parameter_count(self, family, params):
+        with pytest.raises(lc.InputError, match=f"{family} takes"):
+            lc.generate(family, *params)
+
+    def test_unknown_family_named_before_parameter_count(self):
+        with pytest.raises(lc.InputError, match="unknown family 'blob'"):
+            lc.generate("blob")
+
+    @pytest.mark.parametrize("family,params", [
         ("path", (lc.MAX_ORDER + 1,)),
         ("double_star", (lc.MAX_ORDER // 2, lc.MAX_ORDER // 2 - 1)),
     ])

@@ -93,8 +93,9 @@ class TestTwinClasses:
 
 
 class TestLowerBound:
-    def test_star5_endpoint_corollary(self):
-        assert lc.locating_lower_bound(lc.generate("star", 5)) == (5, "endpoint-corollary")
+    def test_star5_twin_class(self):
+        # The four endpoints are one twin class that the center sees whole.
+        assert lc.locating_lower_bound(lc.generate("star", 5)) == (5, "twin-class")
 
     def test_corona_p3_k3bar(self):
         prod, _ = lc.corona(lc.generate("path", 3), lc.generate("empty", 3))

@@ -3,6 +3,7 @@
 import random
 from itertools import combinations
 
+from conftest import atlas_connected
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,6 +91,21 @@ def test_serialization_round_trip(g):
 def test_all_distinct_coloring_is_locating(g):
     c = Coloring(g.n, tuple(range(1, g.n + 1)))
     assert lc.verify(g, c).locating
+
+
+def endpoint_corollary(g):
+    # One more than the largest number of endpoints sharing a neighbor.
+    return 1 + max(sum(g.degree(w) == 1 for w in g.adjacency[v]) for v in range(g.n))
+
+
+@given(graphs(min_order=2, max_order=10, connected=True))
+def test_lower_bound_covers_endpoint_corollary(g):
+    assert lc.locating_lower_bound(g)[0] >= endpoint_corollary(g)
+
+
+def test_lower_bound_covers_endpoint_corollary_exhaustively():
+    for g in atlas_connected(6):
+        assert lc.locating_lower_bound(g)[0] >= endpoint_corollary(g)
 
 
 @settings(deadline=None)

@@ -1,6 +1,7 @@
 """Exact solver, budget contract, and brute-force oracle."""
 
 import pytest
+from conftest import atlas_connected
 
 import locachrom as lc
 from locachrom.graphs import SizeLimitError
@@ -77,6 +78,38 @@ class TestChiL:
     def test_certificates_identical_across_runs(self):
         g = lc.generate("cycle", 6)
         assert lc.chi_L(g) == lc.chi_L(g)
+
+    def test_order_certified_within_any_budget(self):
+        result = lc.chi_L(lc.generate("complete", 3), 1)
+        assert result.value == 3
+        assert result.certificate.colors == (1, 2, 3)
+
+    @pytest.mark.parametrize("graph", [
+        lc.generate("path", 2), lc.generate("star", 6), lc.generate("complete", 4),
+        lc.generate("cycle", 4),
+    ])
+    def test_no_search_at_k_equal_n(self, graph, monkeypatch):
+        searched = []
+        real = lc.locating.find_locating_coloring
+
+        def counting(g, k, budget):
+            searched.append(k)
+            return real(g, k, budget)
+
+        monkeypatch.setattr(lc.locating, "find_locating_coloring", counting)
+        assert lc.chi_L.__wrapped__(graph).value == graph.n
+        assert graph.n not in searched
+
+    def test_order_certificate_is_the_search_at_k_equal_n(self):
+        # The all-distinct coloring chi_L returns for value n is the one the
+        # kernel finds at k = n: the lex-min coloring in its search order.
+        tied = 0
+        for g in atlas_connected(6):
+            result = lc.chi_L(g)
+            if result.value == g.n:
+                assert result.certificate == lc.find_locating_coloring(g, g.n).coloring
+                tied += 1
+        assert tied > 0
 
 
 class TestBruteForce:
