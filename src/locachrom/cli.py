@@ -43,14 +43,6 @@ def _read_text(path: str) -> str:
         raise graphs.InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _write_text(path: str, text: str):
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _IOFailure(f"cannot write {path}: {exc.strerror}") from exc
-
-
 class _IOFailure(Exception):
     pass
 
@@ -84,13 +76,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen", help="generate a standard graph family")
     p.add_argument("family")
     p.add_argument("params", type=int, nargs="*")
-    p.add_argument("-o", "--output", help="write the edge list here")
 
     p = sub.add_parser("corona", help="corona product of two graph files")
     p.add_argument("gfile")
     p.add_argument("hfile")
-    p.add_argument("-o", "--output", help="write the product edge list here")
-    p.add_argument("--map-out", help="write the corona map JSON here")
 
     p = sub.add_parser("chil", help="exact locating-chromatic number")
     p.add_argument("gfile")
@@ -119,8 +108,6 @@ def _cmd_gen(args) -> int:
     text = graphs.serialize_graph(g)
     if args.format == "json":
         print(_dump({"graph": text}))
-    elif args.output:
-        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -133,15 +120,10 @@ def _cmd_corona(args) -> int:
     text = graphs.serialize_graph(product)
     if args.format == "json":
         print(_dump({"graph": text, "map": cmap.to_json_dict()}))
-        return EXIT_OK
-    if args.output:
-        _write_text(args.output, text)
     else:
+        # The map goes on a comment line, so the output is a graph file.
         sys.stdout.write(text)
-    if args.map_out:
-        _write_text(args.map_out, _dump(cmap.to_json_dict()) + "\n")
-    else:
-        print(_dump(cmap.to_json_dict()))
+        print(f"# map {_dump(cmap.to_json_dict())}")
     return EXIT_OK
 
 
@@ -234,10 +216,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.budget <= 0:
             raise UsageError("--budget must be positive")
-        if args.format == "json" and any(
-            getattr(args, name, None) for name in ("output", "map_out")
-        ):
-            raise UsageError("-o and --map-out cannot be combined with --format json")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

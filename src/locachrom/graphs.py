@@ -137,9 +137,12 @@ def generate(family: str, *params: int) -> Graph:
 
     Families: ``path n``, ``cycle n`` (n >= 3), ``star n`` (n >= 2),
     ``complete n``, ``empty n``, ``double_star a b`` (a, b >= 1). An order
-    above :data:`MAX_ORDER` or a size above :data:`MAX_SIZE` raises
+    above :data:`MAX_ORDER` or a size above :data:`MAX_SIZE`, or a
+    parameter that is not an ``int`` (``bool`` included), raises
     :class:`InputError`.
     """
+    if any(type(p) is not int for p in params):
+        raise InputError(f"parameters must be integers, got {params!r}")
     # Order and size from the parameters alone: n is the one parameter, or
     # a + b for double_star, which has order n + 2 and size n + 1.
     n = sum(params)

@@ -203,6 +203,12 @@ def locating_lower_bound(g: Graph) -> tuple:
     Rules: the trivial bound 2; the largest twin class, plus one when
     some outside vertex is adjacent to the whole class. The endpoints on
     a vertex are such a class, so this covers the endpoint corollary.
+
+    In a connected graph every twin class C of two or more vertices short
+    of all of V has such a vertex: non-adjacent twins share N(v), and each
+    of its members lies outside C and sees all of C; adjacent twins share
+    N[v], which is C only when C is a component, that is V. So the bound
+    of C is len(C) + (len(C) < n), with no scan of the neighbourhoods.
     """
     _require_connected(g)
     if g.n < 2:
@@ -212,14 +218,7 @@ def locating_lower_bound(g: Graph) -> tuple:
     for cls in twin_classes(g):
         if len(cls) < 2:
             continue
-        bound = len(cls)
-        members = set(cls)
-        if any(
-            members <= set(g.adjacency[v])
-            for v in range(g.n)
-            if v not in members
-        ):
-            bound += 1
+        bound = len(cls) + (len(cls) < g.n)
         if bound > best:
             best, tag = bound, "twin-class"
 

@@ -1,9 +1,12 @@
 """CLI contract: subcommands, exit codes, and deterministic JSON."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from locachrom.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _load_coloring,
+    build_parser,
     main,
 )
 
@@ -61,11 +65,6 @@ class TestGen:
         assert main(["gen", "complete", "5"]) == EXIT_USAGE
         assert "size 10 exceeds the limit 9" in capsys.readouterr().err
 
-    def test_output_file(self, tmp_path, capsys):
-        out = tmp_path / "g.graph"
-        assert main(["gen", "path", "4", "-o", str(out)]) == EXIT_OK
-        assert lc.parse_graph(out.read_text()) == lc.generate("path", 4)
-
     @pytest.mark.parametrize("argv", [["path"], ["path", "1", "2"], ["double_star", "1"]])
     def test_wrong_parameter_count(self, argv, capsys):
         assert main(["gen", *argv]) == EXIT_USAGE
@@ -96,6 +95,19 @@ class TestCorona:
         assert main(["--format", "json", "corona", g, h]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert lc.parse_graph(data["graph"]) == lc.generate("path", 2)
+
+    def test_human_output_is_a_graph_file(self, tmp_path, p2_file, capsys):
+        # The map rides on a '# map' comment line, so chil reads the output.
+        assert main(["corona", p2_file, p2_file]) == EXIT_OK
+        text = capsys.readouterr().out
+        p2 = lc.generate("path", 2)
+        assert lc.parse_graph(text) == lc.corona(p2, p2)[0]
+        prod = tmp_path / "prod.graph"
+        prod.write_text(text)
+        assert main(["--format", "json", "chil", str(prod)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["certificate"] == {
+            "colors": [1, 2, 2, 3, 1, 4], "k": 4,
+        }
 
     def test_missing_input(self, tmp_path, p2_file):
         assert main(["corona", p2_file, str(tmp_path / "absent.graph")]) == EXIT_IO
@@ -306,6 +318,13 @@ class TestMalformedInput:
     def test_seed_flag_removed(self):
         assert main(["--seed", "1", "gen", "path", "2"]) == EXIT_USAGE
 
+    def test_output_file_flags_removed(self, tmp_path, p2_file, capsys):
+        out = tmp_path / "x"
+        assert main(["gen", "path", "2", "-o", str(out)]) == EXIT_USAGE
+        assert main(["corona", p2_file, p2_file, "--map-out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
 
 _json_scalars = (
     st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=3)
@@ -361,3 +380,22 @@ def test_startup_skips_importlib_resources():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _parser_options() -> set:
+    """Every option string of the parser and its subparsers, help aside."""
+    options, parsers = set(), [build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif not isinstance(action, argparse._HelpAction):
+                options.update(action.option_strings)
+    return options
+
+
+def test_readme_documents_exactly_the_parser_options():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    mentioned = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", cli_section))
+    assert mentioned - {"-h", "--help"} == _parser_options()

@@ -82,6 +82,14 @@ class TestGenerate:
         with pytest.raises(lc.InputError, match=f"{family} takes"):
             lc.generate(family, *params)
 
+    @pytest.mark.parametrize("family,params", [
+        ("path", (True,)), ("path", (2.5,)), ("path", ("3",)),
+        ("double_star", (1, False)),
+    ], ids=["bool", "float", "str", "double_star-bool"])
+    def test_non_integer_parameter_refused(self, family, params):
+        with pytest.raises(lc.InputError, match="must be integers"):
+            lc.generate(family, *params)
+
     def test_unknown_family_named_before_parameter_count(self):
         with pytest.raises(lc.InputError, match="unknown family 'blob'"):
             lc.generate("blob")

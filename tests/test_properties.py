@@ -108,6 +108,32 @@ def test_lower_bound_covers_endpoint_corollary_exhaustively():
         assert lc.locating_lower_bound(g)[0] >= endpoint_corollary(g)
 
 
+def twin_rule_by_scan(g):
+    # Reference twin rule: scan every outside vertex's neighbourhood for
+    # one adjacent to the whole class.
+    best, tag = 2, "trivial-order"
+    for cls in lc.twin_classes(g):
+        if len(cls) < 2:
+            continue
+        members = set(cls)
+        bound = len(cls) + any(
+            members <= set(g.adjacency[v]) for v in range(g.n) if v not in members
+        )
+        if bound > best:
+            best, tag = bound, "twin-class"
+    return best, tag
+
+
+@given(graphs(min_order=2, max_order=12, connected=True))
+def test_lower_bound_matches_twin_scan(g):
+    assert lc.locating_lower_bound(g) == twin_rule_by_scan(g)
+
+
+def test_lower_bound_matches_twin_scan_exhaustively():
+    for g in atlas_connected(6):
+        assert lc.locating_lower_bound(g) == twin_rule_by_scan(g)
+
+
 @settings(deadline=None)
 @given(graphs(min_order=2, max_order=6, connected=True))
 def test_lower_bound_below_brute_force(g):
