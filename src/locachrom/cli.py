@@ -8,7 +8,10 @@ stable contract: 0 resolved/valid, 1 invalid, 2 indeterminate, 64 usage,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import operator
+import os
 import sys
 
 from . import constructions, graphs, locating
@@ -29,8 +32,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+def _json_line(obj) -> str:
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def _read_text(path: str) -> str:
@@ -61,7 +64,9 @@ def _load_coloring(path: str) -> locating.Coloring:
     return locating.Coloring.from_json_dict(data)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once and shared by every :func:`main` call."""
     parser = _Parser(prog="locachrom", description=__doc__)
     parser.add_argument(
         "--format", choices=("human", "json"), default="human",
@@ -76,162 +81,155 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen", help="generate a standard graph family")
     p.add_argument("family")
     p.add_argument("params", type=int, nargs="*")
+    p.set_defaults(run=_cmd_gen, human=operator.itemgetter("graph"))
 
     p = sub.add_parser("corona", help="corona product of two graph files")
     p.add_argument("gfile")
     p.add_argument("hfile")
+    p.set_defaults(run=_cmd_corona, human=_human_corona)
 
     p = sub.add_parser("chil", help="exact locating-chromatic number")
     p.add_argument("gfile")
+    p.set_defaults(run=_cmd_chil, human=_human_chil)
 
     p = sub.add_parser("verify", help="check a coloring against a graph")
     p.add_argument("gfile")
     p.add_argument("coloringfile")
+    p.set_defaults(run=_cmd_verify, human=_human_verify)
 
     p = sub.add_parser("bounds", help="corona-product bounds for G and H")
     p.add_argument("gfile")
     p.add_argument("hfile")
+    p.set_defaults(run=_cmd_bounds, human=_human_bounds)
 
     p = sub.add_parser("fixture", help="emit a certified reference bundle")
-    p.add_argument("name", choices=("theorem2", "star", "empty-corona"))
-    p.add_argument("params", type=int, nargs="*")
+    p.set_defaults(human=_json_line)
+    fixtures = p.add_subparsers(dest="name", required=True)
+    fixtures.add_parser("theorem2").set_defaults(run=_cmd_theorem2)
+    p = fixtures.add_parser("star")
+    p.add_argument("n", type=int)
+    p.set_defaults(run=_cmd_star)
+    p = fixtures.add_parser("empty-corona")
+    p.add_argument("n", type=int)
+    p.add_argument("k", type=int)
+    p.set_defaults(run=_cmd_empty_corona)
 
     return parser
 
 
-def _cmd_gen(args) -> int:
-    try:
-        g = graphs.generate(args.family, *args.params)
-    except graphs.InputError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    text = graphs.serialize_graph(g)
-    if args.format == "json":
-        print(_dump({"graph": text}))
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+def _cmd_gen(args) -> tuple:
+    g = graphs.generate(args.family, *args.params)
+    return EXIT_OK, {"graph": graphs.serialize_graph(g)}
 
 
-def _cmd_corona(args) -> int:
-    g = _load_graph(args.gfile)
-    h = _load_graph(args.hfile)
-    product, cmap = graphs.corona(g, h)
-    text = graphs.serialize_graph(product)
-    if args.format == "json":
-        print(_dump({"graph": text, "map": cmap.to_json_dict()}))
-    else:
-        # The map goes on a comment line, so the output is a graph file.
-        sys.stdout.write(text)
-        print(f"# map {_dump(cmap.to_json_dict())}")
-    return EXIT_OK
+def _cmd_corona(args) -> tuple:
+    product, cmap = graphs.corona(_load_graph(args.gfile), _load_graph(args.hfile))
+    graph = graphs.serialize_graph(product)
+    return EXIT_OK, {"graph": graph, "map": cmap.to_json_dict()}
 
 
-def _cmd_chil(args) -> int:
-    g = _load_graph(args.gfile)
-    result = locating.chi_L(g, args.budget)
-    if args.format == "json":
-        print(_dump(result.to_json_dict()))
-    elif result.value is not None:
-        print(f"chi_L = {result.value}")
-        print(f"certificate: {_dump(result.certificate.to_json_dict())}")
-    else:
-        lo, hi = result.interval
-        print(f"indeterminate: chi_L in [{lo}, {hi}] (budget exhausted)")
-    return EXIT_OK if result.value is not None else EXIT_INDETERMINATE
+def _cmd_chil(args) -> tuple:
+    result = locating.chi_L(_load_graph(args.gfile), args.budget)
+    code = EXIT_INDETERMINATE if result.value is None else EXIT_OK
+    return code, result.to_json_dict()
 
 
-def _cmd_verify(args) -> int:
-    g = _load_graph(args.gfile)
-    coloring = _load_coloring(args.coloringfile)
-    report = locating.verify(g, coloring)
-    if args.format == "json":
-        print(_dump(report.to_json_dict()))
-    elif report.locating:
-        print("locating coloring: yes")
-    else:
-        kind = "improper" if not report.proper else "code collision"
-        print(f"locating coloring: no ({kind}); witness: {_dump(report.witness)}")
-    return EXIT_OK if report.locating else EXIT_INVALID
+def _cmd_verify(args) -> tuple:
+    report = locating.verify(_load_graph(args.gfile), _load_coloring(args.coloringfile))
+    return EXIT_OK if report.locating else EXIT_INVALID, report.to_json_dict()
 
 
-def _cmd_bounds(args) -> int:
-    g = _load_graph(args.gfile)
-    h = _load_graph(args.hfile)
+def _cmd_bounds(args) -> tuple:
+    g, h = _load_graph(args.gfile), _load_graph(args.hfile)
     report = constructions.best_corona_bounds(g, h, args.budget)
-    if args.format == "json":
-        print(_dump(report.to_json_dict()))
-    else:
-        print(f"lower = {report.lower} ({report.lower_tag})")
-        print(f"upper = {report.upper} ({report.upper_tag})")
-        print(f"tags: {_dump(report.tags)}")
-    return EXIT_INDETERMINATE if report.indeterminate else EXIT_OK
+    code = EXIT_INDETERMINATE if report.indeterminate else EXIT_OK
+    return code, report.to_json_dict()
 
 
-def _fixture_bundle(name: str, params: list) -> dict:
-    if name == "theorem2":
-        if params:
-            raise UsageError("fixture theorem2 takes no parameters")
-        fx = constructions.fixture_theorem2()
-        return {
-            "graph": graphs.serialize_graph(fx.graph),
-            "map": fx.corona_map.to_json_dict(),
-            "construction": fx.result.to_json_dict(),
-            "labels": list(fx.labels),
-            "codes": {label: list(code) for label, code in fx.expected_codes.items()},
-        }
-    if name == "star":
-        if len(params) != 1:
-            raise UsageError("fixture star requires one parameter n")
-        result = constructions.star_corona_coloring(params[0])
-    elif name == "empty-corona":
-        if len(params) != 2:
-            raise UsageError("fixture empty-corona requires parameters n k")
-        n, k = params
-        g = graphs.generate("path", n)
-        result = constructions.empty_corona_coloring(g, k)
-    else:  # pragma: no cover - argparse restricts the choices
-        raise UsageError(f"unknown fixture {name}")
-    return {"construction": result.to_json_dict()}
+def _cmd_theorem2(args) -> tuple:
+    fx = constructions.fixture_theorem2()
+    return EXIT_OK, {
+        "graph": graphs.serialize_graph(fx.graph),
+        "map": fx.corona_map.to_json_dict(),
+        "construction": fx.result.to_json_dict(),
+        "labels": list(fx.labels),
+        "codes": {label: list(code) for label, code in fx.expected_codes.items()},
+    }
 
 
-def _cmd_fixture(args) -> int:
-    print(_dump(_fixture_bundle(args.name, args.params)))
-    return EXIT_OK
+def _cmd_star(args) -> tuple:
+    result = constructions.star_corona_coloring(args.n)
+    return EXIT_OK, {"construction": result.to_json_dict()}
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "corona": _cmd_corona,
-    "chil": _cmd_chil,
-    "verify": _cmd_verify,
-    "bounds": _cmd_bounds,
-    "fixture": _cmd_fixture,
-}
+def _cmd_empty_corona(args) -> tuple:
+    g = graphs.generate("path", args.n)
+    result = constructions.empty_corona_coloring(g, args.k)
+    return EXIT_OK, {"construction": result.to_json_dict()}
+
+
+def _human_corona(payload) -> str:
+    # The map goes on a comment line, so the output is a graph file.
+    return f"{payload['graph']}# map {_json_line(payload['map'])}"
+
+
+def _human_chil(payload) -> str:
+    if payload["value"] is None:
+        lo, hi = payload["interval"]
+        return f"indeterminate: chi_L in [{lo}, {hi}] (budget exhausted)\n"
+    certificate = _json_line(payload["certificate"])
+    return f"chi_L = {payload['value']}\ncertificate: {certificate}"
+
+
+def _human_verify(payload) -> str:
+    verdict = payload["verdict"]
+    if verdict["locating"]:
+        return "locating coloring: yes\n"
+    kind = "code collision" if verdict["proper"] else "improper"
+    return f"locating coloring: no ({kind}); witness: {_json_line(payload['witness'])}"
+
+
+def _human_bounds(payload) -> str:
+    return (f"lower = {payload['lower']} ({payload['lower_tag']})\n"
+            f"upper = {payload['upper']} ({payload['upper_tag']})\n"
+            f"tags: {_json_line(payload['tags'])}")
+
+
+def _fail(code: int, message: str) -> int:
+    print(message, file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; write its payload, or under ``--format human`` only
+    the text rendered from it. Every error becomes its exit code here."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.budget <= 0:
             raise UsageError("--budget must be positive")
-        return _COMMANDS[args.command](args)
+        code, payload = args.run(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"usage error: {exc}")
     except _IOFailure as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(EXIT_IO, f"io error: {exc}")
     except (graphs.ParseError, graphs.InputError,
             locating.DisconnectedGraphError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-
-def run():  # console-script entry point
-    sys.exit(main())
+        if args.command in ("gen", "fixture"):
+            # These read no file, so the bad value is on the command line.
+            return _fail(EXIT_USAGE, f"usage error: {exc}")
+        return _fail(EXIT_INVALID, f"invalid input: {exc}")
+    text = (args.human if args.format == "human" else _json_line)(payload)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _fail(EXIT_IO, "io error: stdout was closed")
+    return code
 
 
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

@@ -266,6 +266,18 @@ class TestFixture:
     def test_bad_params(self):
         assert main(["fixture", "star"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("params", [
+        ["star"], ["theorem2", "1"], ["star", "1"],
+        ["empty-corona", "0", "3"], ["empty-corona", "3", "0"],
+    ], ids=["star-no-n", "theorem2-extra", "star-1", "empty-corona-n-0",
+            "empty-corona-k-0"])
+    def test_bad_params_are_usage_errors(self, params, capsys):
+        # fixture reads no file, so a bad count or value is a usage error.
+        assert main(["fixture", *params]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        assert captured.out == ""
+
     def test_human_format_is_the_json_bundle(self, capsys):
         outputs = []
         for fmt in ("human", "json"):
@@ -278,10 +290,11 @@ class TestMalformedInput:
     """Bad input ends in exit 1 with an 'invalid input:' line, never a
     traceback and never a verdict on a silently coerced value."""
 
-    def assert_invalid(self, capsys, argv):
+    def assert_invalid(self, capsys, argv, message=None):
         assert main(argv) == EXIT_INVALID
         captured = capsys.readouterr()
         assert captured.err.startswith("invalid input:")
+        assert message is None or captured.err == f"invalid input: {message}\n"
         assert captured.out == ""
 
     def test_superscript_graph_order(self, tmp_path, capsys):
@@ -310,6 +323,17 @@ class TestMalformedInput:
         c = tmp_path / "c.json"
         c.write_text(text)
         self.assert_invalid(capsys, ["verify", p3_file, str(c)])
+
+    def test_coloring_shorter_than_graph(self, tmp_path, capsys, p3_file):
+        c = tmp_path / "c.json"
+        c.write_text('{"k": 2, "colors": [1, 2]}')
+        self.assert_invalid(capsys, ["verify", p3_file, str(c)],
+                            "coloring has 2 entries for a graph of order 3")
+
+    def test_corona_with_empty_g(self, tmp_path, capsys, p3_file):
+        g = write_graph(tmp_path / "e0.graph", lc.generate("empty", 0))
+        self.assert_invalid(capsys, ["corona", g, p3_file],
+                            "corona requires |V(G)| >= 1")
 
     def test_bounds_with_empty_h(self, tmp_path, capsys, p3_file):
         h = write_graph(tmp_path / "e0.graph", lc.generate("empty", 0))
@@ -380,6 +404,24 @@ def test_startup_skips_importlib_resources():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_stdout_exits_io():
+    # The pipe's read end is closed before the child starts, so the child's
+    # write to stdout fails with EPIPE, and so would the flush at its exit.
+    src = os.path.dirname(os.path.dirname(lc.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "locachrom.cli", "fixture", "star", "9"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_IO
+    assert proc.stderr == "io error: stdout was closed\n"
 
 
 def _parser_options() -> set:

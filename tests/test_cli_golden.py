@@ -4,13 +4,17 @@ commands, so that a refactor keeps the CLI byte-identical.
 The expected texts were recorded from the CLI before ``ConstructionResult``
 dropped its ``verified`` field. Two outputs changed since: ``fixture``
 JSON lost that key, and human ``corona`` gained the ``# map `` prefix that
-makes its map line a comment of the graph file.
+makes its map line a comment of the graph file. The human budget-exhausted
+``chil``, both ``gen`` outputs and human ``fixture star 9`` were recorded
+later, before the CLI rendered its human text from the JSON payload.
 """
+
+import sys
 
 import pytest
 
 import locachrom as lc
-from locachrom.cli import main
+from locachrom import cli
 
 
 def _graph_text(g) -> str:
@@ -46,6 +50,10 @@ GOLDEN = {
     'chil-json-budget5-interval': (
         ['--format', 'json', '--budget', '5', 'chil', '@p4p3.graph'],
         2, '{"interval": [3, 16], "value": null}\n',
+    ),
+    'chil-human-budget5-interval': (
+        ['--budget', '5', 'chil', '@p4p3.graph'],
+        2, 'indeterminate: chi_L in [3, 16] (budget exhausted)\n',
     ),
     'chil-human-certificate': (
         ['chil', '@p2p2.graph'],
@@ -99,6 +107,18 @@ GOLDEN = {
         ['--format', 'json', 'corona', '@p2.graph', '@p2.graph'],
         0, '{"graph": "n 6\\ne 0 1\\ne 0 2\\ne 0 3\\ne 1 4\\ne 1 5\\ne 2 3\\ne 4 5\\n", "map": {"centers": [0, 1], "satellites": [{"g": 0, "h": 0, "idx": 2, "t": 1}, {"g": 0, "h": 1, "idx": 3, "t": 1}, {"g": 1, "h": 0, "idx": 4, "t": 1}, {"g": 1, "h": 1, "idx": 5, "t": 1}]}}\n',
     ),
+    'gen-json-path-3': (
+        ['--format', 'json', 'gen', 'path', '3'],
+        0, '{"graph": "n 3\\ne 0 1\\ne 1 2\\n"}\n',
+    ),
+    'gen-human-path-3': (
+        ['gen', 'path', '3'],
+        0, 'n 3\ne 0 1\ne 1 2\n',
+    ),
+    'fixture-human-star-9': (
+        ['fixture', 'star', '9'],
+        0, '{"construction": {"colors": [1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 3, 1, 4, 2, 1, 3, 2], "k": 4, "source": "star-corona"}}\n',
+    ),
     'fixture-star-9': (
         ['--format', 'json', 'fixture', 'star', '9'],
         0, '{"construction": {"colors": [1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 3, 1, 4, 2, 1, 3, 2], "k": 4, "source": "star-corona"}}\n',
@@ -106,13 +126,33 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_golden_output(case, tmp_path, capsys):
+def _check_golden(case, tmp_path, capsys):
     for name, text in _inputs().items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     argv, code, stdout = GOLDEN[case]
     argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
-    assert main(argv) == code
+    assert cli.main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == stdout
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_output(case, tmp_path, capsys):
+    _check_golden(case, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in GOLDEN if "json" in GOLDEN[c][0]))
+def test_json_mode_builds_no_human_text(case, tmp_path, capsys):
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        _check_golden(case, tmp_path, capsys)
+    finally:
+        sys.setprofile(None)
+    assert not {name for name in called if name.startswith("_human_")}

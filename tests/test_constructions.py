@@ -1,6 +1,7 @@
 """Constructive colorings, bound formulas, and the tree classifiers."""
 
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -122,6 +123,22 @@ class TestCoronaUpperColoring:
                 Coloring(2, (1, 2, 1)), [Coloring(2, (1, 2))],
             )
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_component_coloring_count_checked(self, count):
+        g = h = lc.generate("path", 2)
+        with pytest.raises(lc.InputError, match=f"expected 1 component colorings, got {count}"):
+            lc.corona_upper_coloring(
+                g, h, Coloring(2, (1, 2)), [Coloring(3, (1, 2, 3))] * count
+            )
+
+    def test_non_locating_component_coloring_rejected(self):
+        # P2 joined with the apex is K3, which two colors cannot color properly.
+        g = h = lc.generate("path", 2)
+        with pytest.raises(lc.InputError, match="component coloring 1 is not locating"):
+            lc.corona_upper_coloring(
+                g, h, Coloring(2, (1, 2)), [Coloring(2, (1, 1, 2))]
+            )
+
     def test_optimal_parts_satisfy_preconditions(self):
         g = lc.generate("path", 3)
         h = p2_union_c4()
@@ -189,6 +206,13 @@ class TestEmptyCorona:
         with pytest.raises(lc.InputError):
             lc.empty_corona_coloring(lc.generate("path", 3), 1)
 
+    @pytest.mark.parametrize("n,k,message", [
+        (3, 1, "k >= 2"), (1, 3, "|V(G)| >= 2"), (5, 3, "|V(G)| <= k+1, got n=5, k=3"),
+    ], ids=["k-1", "order-1", "order-above-k-plus-1"])
+    def test_order_guard_messages(self, n, k, message):
+        with pytest.raises(lc.InputError, match=re.escape(message)):
+            lc.empty_corona_coloring(lc.generate("path", n), k)
+
 
 class TestStarCorona:
     @pytest.mark.parametrize("n,expected", [(4, 3), (5, 4), (9, 4), (16, 5), (100, 11)])
@@ -236,6 +260,10 @@ class TestTreeEmptyCoronaBounds:
     def test_non_tree_rejected(self):
         with pytest.raises(lc.InputError):
             lc.tree_empty_corona_bounds(lc.generate("cycle", 4), 1)
+
+    def test_m_below_one_rejected(self):
+        with pytest.raises(lc.InputError, match="m must be >= 1"):
+            lc.tree_empty_corona_bounds(lc.generate("path", 3), 0)
 
 
 class TestPendantTreeClassifier:

@@ -106,6 +106,10 @@ class TestLowerBound:
         value, _ = lc.locating_lower_bound(lc.generate("path", 2))
         assert value == 2
 
+    def test_k1_rejected(self):
+        with pytest.raises(lc.InputError, match="lower bound requires order >= 2"):
+            lc.locating_lower_bound(lc.generate("path", 1))
+
     def test_twin_class_with_common_neighbor(self):
         # Wheel on 5 vertices: opposite rim pairs are twins, the hub sees both.
         w4 = lc.join_with_k1(lc.generate("cycle", 4))
