@@ -27,9 +27,16 @@ class UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """Carries the text that -h asks for, for :func:`main` to write."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _json_line(obj) -> str:
@@ -208,6 +215,9 @@ def main(argv=None) -> int:
         if args.budget <= 0:
             raise UsageError("--budget must be positive")
         code, payload = args.run(args)
+        text = (args.human if args.format == "human" else _json_line)(payload)
+    except _Help as exc:
+        code, text = EXIT_OK, str(exc)
     except UsageError as exc:
         return _fail(EXIT_USAGE, f"usage error: {exc}")
     except _IOFailure as exc:
@@ -218,7 +228,6 @@ def main(argv=None) -> int:
             # These read no file, so the bad value is on the command line.
             return _fail(EXIT_USAGE, f"usage error: {exc}")
         return _fail(EXIT_INVALID, f"invalid input: {exc}")
-    text = (args.human if args.format == "human" else _json_line)(payload)
     try:
         sys.stdout.write(text)
         sys.stdout.flush()

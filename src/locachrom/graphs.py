@@ -132,68 +132,49 @@ def make_graph(n: int, edges: Iterable) -> Graph:
     return Graph(n, frozenset(normalized))
 
 
-def generate(family: str, *params: int) -> Graph:
-    """Generate a standard graph family.
+#: The families that :func:`generate` builds, one row each: the parameter
+#: names, the least value of each, and the order, size and edge list as
+#: functions of the parameters.
+FAMILIES = {
+    "path": (("n",), 1, lambda n: n, lambda n: n - 1,
+             lambda n: [(i, i + 1) for i in range(n - 1)]),
+    "cycle": (("n",), 3, lambda n: n, lambda n: n,
+              lambda n: [(i, (i + 1) % n) for i in range(n)]),
+    "star": (("n",), 2, lambda n: n, lambda n: n - 1,
+             lambda n: [(0, i) for i in range(1, n)]),
+    "complete": (("n",), 1, lambda n: n, lambda n: n * (n - 1) // 2,
+                 lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)]),
+    "empty": (("n",), 0, lambda n: n, lambda n: 0, lambda n: []),
+    # Centers 0 and 1; endpoints 2..a+1 on center 0, the rest on center 1.
+    "double_star": (("a", "b"), 1, lambda a, b: a + b + 2, lambda a, b: a + b + 1,
+                    lambda a, b: [(0, 1), *((0, 2 + i) for i in range(a)),
+                                  *((1, 2 + a + i) for i in range(b))]),
+}
 
-    Families: ``path n``, ``cycle n`` (n >= 3), ``star n`` (n >= 2),
-    ``complete n``, ``empty n``, ``double_star a b`` (a, b >= 1). An order
-    above :data:`MAX_ORDER` or a size above :data:`MAX_SIZE`, or a
-    parameter that is not an ``int`` (``bool`` included), raises
-    :class:`InputError`.
+
+def generate(family: str, *params: int) -> Graph:
+    """Build a row of :data:`FAMILIES`: ``path n``, ``cycle n``, ``star n``,
+    ``complete n``, ``empty n`` or ``double_star a b``.
+
+    A parameter that is not an ``int`` (``bool`` included) or below the
+    row's least value, an order above :data:`MAX_ORDER` or a size above
+    :data:`MAX_SIZE` raises :class:`InputError` before any edge is built.
     """
     if any(type(p) is not int for p in params):
         raise InputError(f"parameters must be integers, got {params!r}")
-    # Order and size from the parameters alone: n is the one parameter, or
-    # a + b for double_star, which has order n + 2 and size n + 1.
-    n = sum(params)
-    sizes = {
-        "path": n - 1, "cycle": n, "star": n - 1, "empty": 0,
-        "complete": n * (n - 1) // 2, "double_star": n + 1,
-    }
-    if family not in sizes:
+    if family not in FAMILIES:
         raise InputError(f"unknown family {family!r}")
-    arity = 2 if family == "double_star" else 1
-    if len(params) != arity:
-        raise InputError(f"{family} takes {arity} parameter(s), got {len(params)}")
-    order = n + 2 if family == "double_star" else n
-    if order > MAX_ORDER:
-        raise InputError(f"order {order} exceeds the limit {MAX_ORDER}")
-    if sizes[family] > MAX_SIZE:
-        raise InputError(f"size {sizes[family]} exceeds the limit {MAX_SIZE}")
-    if family == "path":
-        (n,) = params
-        if n < 1:
-            raise InputError("path requires n >= 1")
-        return make_graph(n, [(i, i + 1) for i in range(n - 1)])
-    if family == "cycle":
-        (n,) = params
-        if n < 3:
-            raise InputError("cycle requires n >= 3")
-        return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if family == "star":
-        (n,) = params
-        if n < 2:
-            raise InputError("star requires n >= 2")
-        return make_graph(n, [(0, i) for i in range(1, n)])
-    if family == "complete":
-        (n,) = params
-        if n < 1:
-            raise InputError("complete requires n >= 1")
-        return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if family == "empty":
-        (n,) = params
-        if n < 0:
-            raise InputError("empty requires n >= 0")
-        return make_graph(n, [])
-    if family == "double_star":
-        a, b = params
-        if a < 1 or b < 1:
-            raise InputError("double_star requires a, b >= 1")
-        # Centers 0 and 1; endpoints 2..a+1 on center 0, the rest on center 1.
-        edges = [(0, 1)]
-        edges += [(0, 2 + i) for i in range(a)]
-        edges += [(1, 2 + a + i) for i in range(b)]
-        return make_graph(2 + a + b, edges)
+    names, least, order, size, edges = FAMILIES[family]
+    if len(params) != len(names):
+        raise InputError(f"{family} takes {len(names)} parameter(s), got {len(params)}")
+    n, m = order(*params), size(*params)
+    if n > MAX_ORDER:
+        raise InputError(f"order {n} exceeds the limit {MAX_ORDER}")
+    if m > MAX_SIZE:
+        raise InputError(f"size {m} exceeds the limit {MAX_SIZE}")
+    if min(params) < least:
+        raise InputError(f"{family} requires {', '.join(names)} >= {least}")
+    return make_graph(n, edges(*params))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:

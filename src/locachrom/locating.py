@@ -27,6 +27,9 @@ DEFAULT_BUDGET = 10**8
 #: Hard cap for the brute-force oracle.
 BRUTE_FORCE_LIMIT = 8
 
+#: Largest order for which :func:`find_locating_coloring` builds its O(n^2) tables.
+MAX_SEARCH_ORDER = 2_000
+
 FOUND = "found"
 INFEASIBLE = "infeasible"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -44,6 +47,8 @@ class Coloring:
     colors: tuple
 
     def __post_init__(self):
+        if any(type(x) is not int for x in (self.k, *self.colors)):
+            raise InputError("k and every color must be integers")
         if self.k < 1:
             raise InputError(f"color count must be positive, got {self.k}")
         if any(not (1 <= c <= self.k) for c in self.colors):
@@ -69,10 +74,7 @@ class Coloring:
         """
         if not isinstance(data, dict) or not isinstance(data.get("colors"), list):
             raise InputError('expected {"k": <int>, "colors": [<int>, ...]}')
-        k, colors = data.get("k"), data["colors"]
-        if any(type(x) is not int for x in (k, *colors)):
-            raise InputError("k and every color must be JSON integers")
-        return cls(k, tuple(colors))
+        return cls(data.get("k"), tuple(data["colors"]))
 
 
 @dataclass(frozen=True)
@@ -282,8 +284,13 @@ def find_locating_coloring(
     Neither symmetry cut can remove the lexicographically smallest
     locating coloring in search order, which is the one returned, so the
     certificates and verdicts are those of the search without them.
+
+    A non-``int`` k raises :class:`InputError`; above :data:`MAX_SEARCH_ORDER`
+    vertices, a k that the twin classes do not refute raises :class:`SizeLimitError`.
     """
     _require_connected(g)
+    if type(k) is not int:
+        raise InputError(f"k must be an integer, got {k!r}")
     if not (1 <= k <= g.n):
         raise InputError(f"need 1 <= k <= {g.n}, got {k}")
 
@@ -292,6 +299,8 @@ def find_locating_coloring(
         return SearchResult(INFEASIBLE, None, 0)
 
     n = g.n
+    if n > MAX_SEARCH_ORDER:
+        raise SizeLimitError(f"order {n} exceeds the search limit {MAX_SEARCH_ORDER}")
     dist = all_pairs_distances(g)
     order = _search_order(g)
     pos = {v: i for i, v in enumerate(order)}

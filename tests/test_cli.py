@@ -339,6 +339,15 @@ class TestMalformedInput:
         h = write_graph(tmp_path / "e0.graph", lc.generate("empty", 0))
         self.assert_invalid(capsys, ["bounds", p3_file, h])
 
+    def test_search_above_limit(self, tmp_path, capsys, monkeypatch):
+        p6 = write_graph(tmp_path / "p6.graph", lc.generate("path", 6))
+        s7 = write_graph(tmp_path / "s7.graph", lc.generate("star", 7))
+        monkeypatch.setattr(lc.locating, "MAX_SEARCH_ORDER", 5)
+        lc.chi_L.cache_clear()  # a cached value would skip the search
+        self.assert_invalid(capsys, ["chil", p6], "order 6 exceeds the search limit 5")
+        # star 7's lower bound is its order: certified without search.
+        assert main(["chil", s7]) == EXIT_OK
+
     def test_seed_flag_removed(self):
         assert main(["--seed", "1", "gen", "path", "2"]) == EXIT_USAGE
 
@@ -406,20 +415,39 @@ def test_startup_skips_importlib_resources():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_closed_stdout_exits_io():
+def _run_with_closed_stdout(*argv):
     # The pipe's read end is closed before the child starts, so the child's
     # write to stdout fails with EPIPE, and so would the flush at its exit.
     src = os.path.dirname(os.path.dirname(lc.__file__))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "locachrom.cli", "fixture", "star", "9"],
+        return subprocess.run(
+            [sys.executable, "-m", "locachrom.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, text=True,
             env={**os.environ, "PYTHONPATH": src},
         )
     finally:
         os.close(write_end)
+
+
+def test_closed_stdout_exits_io():
+    proc = _run_with_closed_stdout("fixture", "star", "9")
+    assert proc.returncode == EXIT_IO
+    assert proc.stderr == "io error: stdout was closed\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["chil", "-h"], ["fixture", "star", "-h"]],
+                         ids=["top", "chil", "fixture-star"])
+def test_help_returns_through_main(argv, capsys):
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: locachrom {' '.join(argv[:-1])}".rstrip())
+    assert captured.err == ""
+
+
+def test_help_to_closed_stdout_exits_io():
+    proc = _run_with_closed_stdout("-h")
     assert proc.returncode == EXIT_IO
     assert proc.stderr == "io error: stdout was closed\n"
 

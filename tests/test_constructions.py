@@ -147,6 +147,15 @@ class TestCoronaUpperColoring:
         assert lc.verify(product(g, h), result.coloring).locating
         assert result.coloring.k == lc.corona_bounds(g, h).upper
 
+    @pytest.mark.parametrize("g,h,message", [
+        (5, 1, "budget exhausted while coloring G"),
+        (2, 4, "budget exhausted on a component join"),
+    ], ids=["G", "component-join"])
+    def test_optimal_upper_parts_budget_exhausted(self, g, h, message):
+        with pytest.raises(ConstructionError) as exc:
+            lc.optimal_upper_parts(lc.generate("path", g), lc.generate("path", h), 1)
+        assert str(exc.value) == message
+
 
 class TestTheorem2Fixture:
     def test_codes_match_table(self):

@@ -1,12 +1,16 @@
 """Graph construction, operators, distances, and serialization."""
 
+import re
 import sys
 from itertools import permutations
+from pathlib import Path
 
+import networkx as nx
 import pytest
+from conftest import from_networkx
 
 import locachrom as lc
-from locachrom.graphs import ParseError, SizeLimitError
+from locachrom.graphs import FAMILIES, ParseError, SizeLimitError
 
 
 def isomorphic_brute(g: lc.Graph, h: lc.Graph) -> bool:
@@ -47,6 +51,11 @@ class TestMakeGraph:
     def test_duplicates_collapsed(self):
         g = lc.make_graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.num_edges == 1
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(lc.InputError) as exc:
+            lc.make_graph(-1, [])
+        assert str(exc.value) == "vertex count must be non-negative, got -1"
 
 
 class TestGenerate:
@@ -122,6 +131,53 @@ class TestGenerate:
     def test_size_at_cap_accepted(self, monkeypatch, family, params, size):
         monkeypatch.setattr(lc.graphs, "MAX_SIZE", 10)
         assert lc.generate(family, *params).num_edges == size
+
+    @pytest.mark.parametrize("family,params,message", [
+        ("complete", (0,), "complete requires n >= 1"),
+        ("empty", (-1,), "empty requires n >= 0"),
+        # The size cap is checked before the least value.
+        ("complete", (-100000,), "size 5000050000 exceeds the limit 1000000"),
+        ("path", (0,), "path requires n >= 1"),
+        ("cycle", (2,), "cycle requires n >= 3"),
+        ("star", (1,), "star requires n >= 2"),
+        ("double_star", (1, 0), "double_star requires a, b >= 1"),
+        ("double_star", (1,), "double_star takes 2 parameter(s), got 1"),
+        ("path", (1, 2), "path takes 1 parameter(s), got 2"),
+        ("double_star", (lc.MAX_ORDER // 2, lc.MAX_ORDER // 2 - 1),
+         "order 100001 exceeds the limit 100000"),
+    ])
+    def test_refusal_messages(self, refuse_graph_build, family, params, message):
+        with pytest.raises(lc.InputError) as exc:
+            lc.generate(family, *params)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("family,expected", [
+        ("path", nx.path_graph), ("cycle", nx.cycle_graph),
+        ("star", lambda n: nx.star_graph(n - 1)), ("complete", nx.complete_graph),
+        ("empty", nx.empty_graph),
+    ])
+    def test_rows_match_networkx(self, family, expected):
+        _, least, order, size, _ = FAMILIES[family]
+        for n in range(least, 13):
+            g = lc.generate(family, n)
+            assert g == from_networkx(expected(n)), (family, n)
+            assert (g.n, g.num_edges) == (order(n), size(n)), (family, n)
+
+    def test_double_star_rows(self):
+        _, least, order, size, _ = FAMILIES["double_star"]
+        for a in range(least, 13):
+            for b in range(least, 13):
+                g = lc.generate("double_star", a, b)
+                assert g.has_edge(0, 1) and lc.is_connected(g)
+                degrees = [g.degree(v) for v in range(g.n)]
+                assert degrees == [a + 1, b + 1] + [1] * (a + b), (a, b)
+                assert (g.n, g.num_edges) == (order(a, b), size(a, b)), (a, b)
+
+    def test_readme_lists_exactly_the_families(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        inside = readme.split("\n## What's inside\n", 1)[1].split("\n## ", 1)[0]
+        listed = inside.split("standard families", 1)[1].split(")", 1)[0]
+        assert re.findall(r"`(\w+)`", listed) == list(FAMILIES)
 
 
 class TestOperators:
@@ -283,6 +339,16 @@ class TestSerialization:
     def test_malformed_line(self):
         with pytest.raises(ParseError):
             lc.parse_graph("n 2\nx 0 1\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("n 2\nn 3\n", "line 2: duplicate 'n' line"),
+        ("n 2\ne 1\n", "line 2: expected 'e <u> <v>'"),
+        ("n 2\ne 1 1\n", "line 2: loop at vertex 1"),
+    ], ids=["second-n", "one-endpoint", "loop"])
+    def test_malformed_line_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            lc.parse_graph(text)
+        assert str(exc.value) == message
 
     def test_superscript_order_rejected(self):
         # '²' passes str.isdigit() but int() cannot read it.

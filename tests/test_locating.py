@@ -16,6 +16,14 @@ def test_coloring_range_checked():
         Coloring(2, (1, 3))
 
 
+@pytest.mark.parametrize("k,colors", [
+    (True, (1, 1, 1)), (2.0, (1, 2)), (2, (1, 2.0)), (2, (True, 2)), ("2", (1, 2)),
+], ids=["bool-k", "float-k", "float-color", "bool-color", "str-k"])
+def test_coloring_refuses_non_integers(k, colors):
+    with pytest.raises(lc.InputError, match="must be integers"):
+        Coloring(k, colors)
+
+
 def test_coloring_json_round_trip():
     c = Coloring(3, (1, 2, 3, 1))
     assert Coloring.from_json_dict({"k": 3, "colors": [1, 2, 3, 1]}) == c

@@ -32,6 +32,27 @@ class TestFindLocatingColoring:
         with pytest.raises(lc.InputError):
             lc.find_locating_coloring(lc.generate("path", 3), 4)
 
+    @pytest.mark.parametrize("n,k", [(4, 3.0), (3, True)], ids=["float", "bool"])
+    def test_non_integer_k_refused(self, n, k):
+        with pytest.raises(lc.InputError, match="k must be an integer"):
+            lc.find_locating_coloring(lc.generate("path", n), k)
+
+    def test_order_above_search_limit_refused(self, monkeypatch):
+        def quadratic(g):
+            raise AssertionError("the O(n^2) tables were built")
+
+        monkeypatch.setattr(lc.locating, "MAX_SEARCH_ORDER", 5)
+        assert lc.find_locating_coloring(lc.generate("path", 5), 3).status == FOUND
+        monkeypatch.setattr(lc.locating, "all_pairs_distances", quadratic)
+        with pytest.raises(SizeLimitError, match="order 6 exceeds the search limit 5"):
+            lc.find_locating_coloring(lc.generate("path", 6), 3)
+        # A k that the twin classes refute needs no table.
+        assert lc.find_locating_coloring(lc.generate("star", 7), 3).status == INFEASIBLE
+
+    def test_path_1500_searchable(self):
+        result = lc.find_locating_coloring(lc.generate("path", 1500), 2, budget=10)
+        assert result.status == BUDGET_EXHAUSTED
+
     def test_budget_exhaustion_is_explicit(self):
         prod, _ = lc.corona(lc.generate("path", 4), lc.generate("path", 3))
         result = lc.find_locating_coloring(prod, 4, budget=10)
@@ -78,6 +99,13 @@ class TestChiL:
     def test_certificates_identical_across_runs(self):
         g = lc.generate("cycle", 6)
         assert lc.chi_L(g) == lc.chi_L(g)
+
+    def test_search_limit_spares_order_certificates(self, monkeypatch):
+        # star 7's lower bound is its order, so chi_L needs no search.
+        monkeypatch.setattr(lc.locating, "MAX_SEARCH_ORDER", 5)
+        assert lc.chi_L.__wrapped__(lc.generate("star", 7)).value == 7
+        with pytest.raises(SizeLimitError):
+            lc.chi_L.__wrapped__(lc.generate("path", 6))
 
     def test_order_certified_within_any_budget(self):
         result = lc.chi_L(lc.generate("complete", 3), 1)
