@@ -27,7 +27,6 @@ from .graphs import (
 )
 from .locating import (
     DEFAULT_BUDGET,
-    ChiLResult,
     Coloring,
     chi_L,
     verify,
@@ -95,15 +94,9 @@ def _checked_result(source: str, g: Graph, coloring: Coloring) -> ConstructionRe
     return ConstructionResult(source, coloring)
 
 
-def _interval(result: ChiLResult) -> tuple:
-    if result.value is not None:
-        return result.value, result.value
-    return result.interval
-
-
 def _component_joins(h: Graph) -> list:
-    """(C, K1 + H[C]) for each component C of H, in canonical order."""
-    return [(c, join_with_k1(induced_subgraph(h, c))) for c in connected_components(h)]
+    """K1 + H[C] for each component C of H, in canonical order."""
+    return [join_with_k1(induced_subgraph(h, c)) for c in connected_components(h)]
 
 
 def corona_bounds(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> BoundsReport:
@@ -122,17 +115,18 @@ def corona_bounds(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> BoundsRep
     if h.n == 0:
         raise InputError("corona bounds require H with at least one vertex")
     if g.n == 1:
-        lower, upper = _interval(chi_L(join_with_k1(h), budget))
-        tags = {"k1-join-lower": lower, "k1-join-upper": upper}
+        k1 = chi_L(join_with_k1(h), budget)
+        tags = {"k1-join-lower": k1.lower, "k1-join-upper": k1.upper}
         return BoundsReport(
-            lower, upper, "k1-join-lower", "k1-join-upper", tags, lower != upper
+            k1.lower, k1.upper, "k1-join-lower", "k1-join-upper", tags,
+            k1.value is None,
         )
-    join_vals = [_interval(chi_L(q, budget)) for _, q in _component_joins(h)]
-    g_val = _interval(chi_L(g, budget))
+    joins = [chi_L(q, budget) for q in _component_joins(h)]
+    g_val = chi_L(g, budget)
 
-    lower = max(lo for lo, _ in join_vals)
-    upper = g_val[1] + sum(hi - 1 for _, hi in join_vals)
-    indeterminate = g_val[0] != g_val[1] or any(lo != hi for lo, hi in join_vals)
+    lower = max(r.lower for r in joins)
+    upper = g_val.upper + sum(r.upper - 1 for r in joins)
+    indeterminate = any(r.value is None for r in (g_val, *joins))
     tags = {"join-component-max": lower, "construction-lemma4": upper}
     return BoundsReport(
         lower, upper, "join-component-max", "construction-lemma4", tags,
@@ -148,8 +142,10 @@ def corona_upper_coloring(
     ``f`` must be a verified locating coloring of G; ``c_list[t-1]`` a
     verified locating coloring of the t-th component of H joined with one
     apex, in which the apex (the highest-indexed vertex) receives the
-    highest color. The copies of component t are recolored by a fixed
-    offset so the blocks use disjoint color ranges above f's.
+    highest color. Component t is recolored by a fixed offset so the
+    blocks use disjoint color ranges above f's, and every copy of H is
+    colored alike: the centers take f, then each copy takes the one list,
+    in the vertex layout of :func:`corona`.
     """
     if not verify(g, f).locating:
         raise InputError("f is not a locating coloring of G")
@@ -158,9 +154,8 @@ def corona_upper_coloring(
         raise InputError(
             f"expected {len(parts)} component colorings, got {len(c_list)}"
         )
-    block_sizes = []
-    local_index = []
-    for t, ((comp, joined), c_t) in enumerate(zip(parts, c_list), start=1):
+    copy, offset = [], f.k
+    for t, (joined, c_t) in enumerate(zip(parts, c_list), start=1):
         if not verify(joined, c_t).locating:
             raise InputError(f"component coloring {t} is not locating")
         apex = joined.n - 1
@@ -169,25 +164,11 @@ def corona_upper_coloring(
                 f"component coloring {t} must give the apex the highest "
                 f"color {c_t.k}, got {c_t.colors[apex]}"
             )
-        block_sizes.append(c_t.k)
-        local_index.append({v: i for i, v in enumerate(comp)})
+        copy += [c + offset for c in c_t.colors[:apex]]
+        offset += c_t.k - 1
 
-    l = f.k
-    offsets = [0] * len(parts)
-    for t in range(1, len(parts)):
-        offsets[t] = offsets[t - 1] + block_sizes[t - 1] - 1
-
-    product, cmap = corona(g, h)
-    colors = [0] * product.n
-    for u, idx in enumerate(cmap.centers):
-        colors[idx] = f.colors[u]
-    for sat in cmap.satellites:
-        t = sat.t - 1
-        c_t = c_list[t]
-        colors[sat.idx] = c_t.colors[local_index[t][sat.h]] + l + offsets[t]
-
-    total = l + sum(m - 1 for m in block_sizes)
-    coloring = Coloring(total, tuple(colors))
+    product, _ = corona(g, h)
+    coloring = Coloring(offset, (*f.colors, *copy * g.n))
     return _checked_result("corona-upper", product, coloring)
 
 
@@ -203,7 +184,7 @@ def optimal_upper_parts(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> tup
     if f.value is None:
         raise ConstructionError("budget exhausted while coloring G")
     c_list = []
-    for _, joined in _component_joins(h):
+    for joined in _component_joins(h):
         result = chi_L(joined, budget)
         if result.value is None:
             raise ConstructionError("budget exhausted on a component join")
@@ -258,15 +239,10 @@ def empty_corona_coloring(g: Graph, k: int) -> ConstructionResult:
         raise InputError(
             f"construction requires |V(G)| <= k+1, got n={g.n}, k={k}"
         )
-    product, cmap = corona(g, generate("empty", k))
-    colors = [0] * product.n
-    for u, idx in enumerate(cmap.centers):
-        colors[idx] = u + 1
-    for sat in cmap.satellites:
-        # For the edgeless H the component index t is the 1-based pendant
-        # number within the copy.
-        colors[sat.idx] = k + 1 if sat.t == sat.g + 1 else sat.t
-    coloring = Coloring(k + 1, tuple(colors))
+    product, _ = corona(g, generate("empty", k))
+    centers = range(1, g.n + 1)
+    copies = [k + 1 if j == i else j for i in centers for j in range(1, k + 1)]
+    coloring = Coloring(k + 1, (*centers, *copies))
     return _checked_result("empty-corona", product, coloring)
 
 
@@ -286,17 +262,15 @@ def star_corona_coloring(n: int) -> ConstructionResult:
     """
     l = star_corona_chi_L(n)
     star = generate("star", n)
-    product, cmap = corona(star, generate("empty", 1))
-    pendant = {sat.g: sat.idx for sat in cmap.satellites}
-
-    colors = [0] * product.n
+    product, _ = corona(star, generate("empty", 1))
+    colors = [0] * product.n      # the pendant of vertex i is n + i
     colors[0] = 1                 # star center x
-    colors[pendant[0]] = l        # its pendant y
+    colors[n] = l                 # its pendant y
     for i in range(1, n):
         t = (i + l - 2) // (l - 1)          # block index, 1-based
         j = i - (t - 1) * (l - 1)           # position within the block
         colors[i] = t + 1
-        colors[pendant[i]] = l - j + 1 if l - j > t else l - j
+        colors[n + i] = l - j + 1 if l - j > t else l - j
     coloring = Coloring(l, tuple(colors))
     return _checked_result("star-corona", product, coloring)
 
@@ -309,12 +283,11 @@ def tree_empty_corona_bounds(
         raise InputError("m must be >= 1")
     _require_tree(t)
     result = chi_L(t, budget)
-    lo, hi = _interval(result)
     lower = m + 1
-    upper = hi + m
+    upper = result.upper + m
     tags = {"m-plus-1": lower, "chiL-plus-m": upper}
     return BoundsReport(
-        lower, upper, "m-plus-1", "chiL-plus-m", tags, lo != hi
+        lower, upper, "m-plus-1", "chiL-plus-m", tags, result.value is None
     )
 
 
@@ -346,9 +319,7 @@ def _require_tree(t: Graph):
         raise InputError("expected a tree with at least 2 vertices")
 
 
-def pendant_tree_classifier(
-    t: Graph, g3: Graph, budget: int = DEFAULT_BUDGET
-) -> int:
+def pendant_tree_classifier(t: Graph, g3: Graph) -> int:
     """Value of chi_L for a one-pendant-per-vertex extension of a tree.
 
     For trees with locating-chromatic number 3, the extension has value 3
@@ -358,7 +329,9 @@ def pendant_tree_classifier(
     disagreement (typically a wrong g3 file) raises.
     """
     _require_tree(t)
-    base = chi_L(t, budget)
+    # The budget is passed, not defaulted, so these calls share chi_L's
+    # cache entries with the bounds' calls, which always pass one.
+    base = chi_L(t, DEFAULT_BUDGET)
     if base.value != 3:
         raise InputError(
             f"classifier requires a tree with value 3, solver found {base.value}"
@@ -367,7 +340,7 @@ def pendant_tree_classifier(
     value = 3 if subgraph_isomorphic(t, p6) or subgraph_isomorphic(t, g3) else 4
     if 2 * t.n <= 14:
         product, _ = corona(t, generate("empty", 1))
-        exact = chi_L(product, budget)
+        exact = chi_L(product, DEFAULT_BUDGET)
         if exact.value is not None and exact.value != value:
             raise ConstructionError(
                 f"classifier says {value} but the solver found {exact.value}; "

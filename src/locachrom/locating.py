@@ -101,11 +101,15 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class ChiLResult:
-    """Exact value with certificate, or an interval on budget exhaustion."""
+    """Certified lower <= chi_L <= upper; when they meet, with a certificate."""
 
-    value: int | None
-    certificate: Coloring | None
-    interval: tuple | None = None
+    lower: int
+    upper: int
+    certificate: Coloring | None = None
+
+    @property
+    def value(self) -> int | None:
+        return self.lower if self.lower == self.upper else None
 
     def to_json_dict(self) -> dict:
         if self.value is not None:
@@ -113,7 +117,12 @@ class ChiLResult:
                 "value": self.value,
                 "certificate": self.certificate.to_json_dict(),
             }
-        return {"value": None, "interval": list(self.interval)}
+        return {"value": None, "interval": [self.lower, self.upper]}
+
+
+def _check_budget(budget):
+    if type(budget) is not int or budget < 1:
+        raise InputError(f"budget must be a positive integer, got {budget!r}")
 
 
 def _require_connected(g: Graph):
@@ -285,10 +294,12 @@ def find_locating_coloring(
     locating coloring in search order, which is the one returned, so the
     certificates and verdicts are those of the search without them.
 
-    A non-``int`` k raises :class:`InputError`; above :data:`MAX_SEARCH_ORDER`
-    vertices, a k that the twin classes do not refute raises :class:`SizeLimitError`.
+    A non-``int`` k, or a budget that is not a positive ``int``, raises
+    :class:`InputError`; above :data:`MAX_SEARCH_ORDER` vertices, a k that
+    the twin classes do not refute raises :class:`SizeLimitError`.
     """
     _require_connected(g)
+    _check_budget(budget)
     if type(k) is not int:
         raise InputError(f"k must be an integer, got {k!r}")
     if not (1 <= k <= g.n):
@@ -359,7 +370,7 @@ def find_locating_coloring(
     return SearchResult(INFEASIBLE, None, nodes)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def chi_L(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiLResult:
     """Exact locating-chromatic number with a verifiable certificate.
 
@@ -367,7 +378,10 @@ def chi_L(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiLResult:
     feasibility is not assumed monotone in k. Exhaustion at some k gives
     the interval [k, n]. If all are refuted, n is certified without search
     by the all-distinct coloring in search order, as a search at k = n finds.
+    A budget that is not a positive ``int`` raises :class:`InputError`; the
+    cache is typed, so ``True`` is never served the result for ``1``.
     """
+    _check_budget(budget)
     _require_connected(g)
     if g.n < 2:
         raise InputError("locating-chromatic number requires order >= 2")
@@ -375,13 +389,13 @@ def chi_L(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiLResult:
     for k in range(start, g.n):
         result = find_locating_coloring(g, k, budget)
         if result.status == FOUND:
-            return ChiLResult(k, result.coloring)
+            return ChiLResult(k, k, result.coloring)
         if result.status == BUDGET_EXHAUSTED:
-            return ChiLResult(None, None, (k, g.n))
+            return ChiLResult(k, g.n)
     colors = [0] * g.n
     for i, v in enumerate(_search_order(g)):
         colors[v] = i + 1
-    return ChiLResult(g.n, Coloring(g.n, tuple(colors)))
+    return ChiLResult(g.n, g.n, Coloring(g.n, tuple(colors)))
 
 
 def brute_force_chi_L(g: Graph) -> int:

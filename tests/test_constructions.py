@@ -250,6 +250,42 @@ class TestStarCorona:
             lc.star_corona_coloring(3)
 
 
+class TestLayoutReliance:
+    """The constructions color the product by the layout :func:`lc.corona`
+    documents; on a product numbered otherwise, verification refuses them."""
+
+    @pytest.fixture
+    def satellites_reversed(self, monkeypatch):
+        # The same product with its satellite block in reverse order: copy u
+        # hangs off center n-1-u, its vertices reversed.
+        def mislaid(g, h):
+            prod, cmap = lc.corona(g, h)
+            last = prod.n + g.n - 1
+            perm = [v if v < g.n else last - v for v in range(prod.n)]
+            edges = [(perm[a], perm[b]) for a, b in prod.edges]
+            return lc.make_graph(prod.n, edges), cmap
+
+        monkeypatch.setattr(lc.constructions, "corona", mislaid)
+
+    def test_star(self, satellites_reversed):
+        with pytest.raises(ConstructionError, match="star-corona"):
+            lc.star_corona_coloring(4)
+
+    def test_empty_corona(self, satellites_reversed):
+        with pytest.raises(ConstructionError, match="empty-corona"):
+            lc.empty_corona_coloring(lc.generate("path", 3), 3)
+
+    def test_corona_upper(self, satellites_reversed):
+        # Every copy is colored alike, so only a copy that is not symmetric
+        # under reversal shows the mislaid product: the paw, a triangle
+        # with a pendant.
+        g = lc.generate("path", 2)
+        paw = lc.make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+        f, c_list = lc.optimal_upper_parts(g, paw)
+        with pytest.raises(ConstructionError, match="corona-upper"):
+            lc.corona_upper_coloring(g, paw, f, c_list)
+
+
 class TestTreeEmptyCoronaBounds:
     def test_p2_m2(self):
         report = lc.tree_empty_corona_bounds(lc.generate("path", 2), 2)

@@ -48,7 +48,7 @@ def test_paper_corpus_at_benchmark_budget(monkeypatch):
         # Uncached, so every search runs and is counted.
         result = locating.chi_L.__wrapped__(product, BUDGET)
         if result.value is None:
-            lo, hi = result.interval
+            lo, hi = result.lower, result.upper
             assert lo <= reference <= hi, (label, source)
             continue
         assert result.value == reference, (label, source)

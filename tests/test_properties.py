@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 from conftest import atlas_connected
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import locachrom as lc
@@ -58,6 +58,69 @@ def test_corona_distance_structure(g, h):
             assert d[a][cmap.centers[u]] == 1
             for b in sats.get(u, []):
                 assert d[a][b] <= 2
+
+
+@st.composite
+def relabeled(draw, base):
+    """A drawn graph with its vertices renamed, so components interleave."""
+    h = draw(base)
+    perm = draw(st.permutations(range(h.n)))
+    return lc.make_graph(h.n, [(perm[a], perm[b]) for a, b in h.edges])
+
+
+def corona_by_layout(g, h):
+    # The documented layout, written out: centers 0..n-1, then copy u of H
+    # at n + u|H|, its vertices in canonical component order.
+    comps = lc.connected_components(h)
+    slots = [(t, v) for t, comp in enumerate(comps, start=1) for v in comp]
+    pos = {v: p for p, (_, v) in enumerate(slots)}
+    sats = [
+        lc.SatelliteRef(u, t, v, g.n + u * h.n + p)
+        for u in range(g.n) for p, (t, v) in enumerate(slots)
+    ]
+    edges = [*g.edges, *((s.g, s.idx) for s in sats)]
+    for u in range(g.n):
+        base = g.n + u * h.n
+        edges += [(base + pos[a], base + pos[b]) for a, b in h.edges]
+    cmap = lc.CoronaMap(tuple(range(g.n)), tuple(sats))
+    return lc.make_graph(g.n * (1 + h.n), edges), cmap
+
+
+@example(lc.generate("path", 2), lc.make_graph(4, [(0, 2), (1, 3)]))
+@given(graphs(max_order=5).filter(lambda g: g.n), relabeled(graphs(max_order=6)))
+def test_corona_follows_documented_layout(g, h):
+    assert lc.corona(g, h) == corona_by_layout(g, h)
+
+
+def corona_upper_by_map(g, h, f, c_list):
+    # Reference assembly: color the product vertex by vertex through the
+    # corona map, each satellite from its component's coloring and offset.
+    local_index = [{v: i for i, v in enumerate(c)} for c in lc.connected_components(h)]
+    offsets = [0] * len(c_list)
+    for t in range(1, len(c_list)):
+        offsets[t] = offsets[t - 1] + c_list[t - 1].k - 1
+    product, cmap = lc.corona(g, h)
+    colors = [0] * product.n
+    for u, idx in enumerate(cmap.centers):
+        colors[idx] = f.colors[u]
+    for sat in cmap.satellites:
+        t = sat.t - 1
+        colors[sat.idx] = c_list[t].colors[local_index[t][sat.h]] + f.k + offsets[t]
+    return Coloring(f.k + sum(c.k - 1 for c in c_list), tuple(colors))
+
+
+@settings(deadline=None, max_examples=60)
+@example(lc.generate("path", 3), lc.make_graph(4, [(0, 2), (1, 3)]), 0)
+@given(graphs(min_order=2, max_order=4, connected=True),
+       relabeled(graphs(min_order=1, max_order=5)), st.integers(0, 2**16))
+def test_corona_upper_matches_map_assembly(g, h, seed):
+    f, c_list = lc.optimal_upper_parts(g, h)
+    # Renaming G's colors keeps f locating and moves its colors among the centers.
+    perm = list(range(1, f.k + 1))
+    random.Random(seed).shuffle(perm)
+    f = Coloring(f.k, tuple(perm[c - 1] for c in f.colors))
+    result = lc.corona_upper_coloring(g, h, f, c_list)
+    assert result.coloring == corona_upper_by_map(g, h, f, c_list)
 
 
 @given(graphs(max_order=7))

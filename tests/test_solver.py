@@ -89,7 +89,7 @@ class TestChiL:
         prod, _ = lc.corona(lc.generate("path", 4), lc.generate("path", 3))
         result = lc.chi_L(prod, 5)
         assert result.value is None
-        lo, hi = result.interval
+        lo, hi = result.lower, result.upper
         assert lo <= hi == prod.n
 
     def test_order_one_rejected(self):
@@ -111,6 +111,28 @@ class TestChiL:
         result = lc.chi_L(lc.generate("complete", 3), 1)
         assert result.value == 3
         assert result.certificate.colors == (1, 2, 3)
+
+    @pytest.mark.parametrize("budget", [True, 2.5, "x", 0, -3])
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "wrapped"])
+    def test_bad_budget_refused(self, budget, cached):
+        chi = lc.chi_L if cached else lc.chi_L.__wrapped__
+        with pytest.raises(lc.InputError, match="budget must be a positive integer"):
+            chi(lc.generate("path", 4), budget)
+        with pytest.raises(lc.InputError, match="budget must be a positive integer"):
+            lc.find_locating_coloring(lc.generate("path", 4), 3, budget=budget)
+
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "wrapped"])
+    def test_bad_budget_refused_before_order_certificate(self, cached):
+        # chi_L(K3) = 3 = n needs no search, yet the budget is still checked.
+        chi = lc.chi_L if cached else lc.chi_L.__wrapped__
+        with pytest.raises(lc.InputError, match="budget"):
+            chi(lc.generate("complete", 3), "x")
+
+    def test_true_budget_not_served_from_cache(self):
+        g = lc.generate("path", 4)
+        assert lc.chi_L(g, 1).value is None
+        with pytest.raises(lc.InputError, match="budget"):
+            lc.chi_L(g, True)
 
     @pytest.mark.parametrize("graph", [
         lc.generate("path", 2), lc.generate("star", 6), lc.generate("complete", 4),
