@@ -267,6 +267,112 @@ def _search_order(g: Graph) -> list:
     return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
+def _branch_swaps(g: Graph, pos: dict) -> list:
+    """Automorphisms that swap two isomorphic pendant trees, as vertex pairs.
+
+    Peeling degree-1 vertices gives each peeled vertex a parent, its one
+    neighbour left when it went; a tree keeps its last vertex as the root.
+    The peeled vertices hang off their parents as rooted trees, labelled
+    bottom-up by their canonical forms (Aho, Hopcroft & Ullman). Two
+    children of one vertex with the same label, consecutive in search
+    position ``pos``, root subtrees that an automorphism swaps: it maps
+    children to children in (label, position) order and fixes the rest.
+    Each swap is listed as its pairs (u, image of u), u in the earlier
+    subtree. Leaves of one parent are twins, which the twin order already
+    breaks, so their swaps are left out. O(n + m) when no vertex has two
+    peeled children that are not leaves. A vertex lies in at most two
+    swaps per ancestor that holds a second copy of its branch, and the
+    subtree at least doubles from one such ancestor to the next, so there
+    are O(n log n) swap pairs in all. No recursion.
+    """
+    adj = g.adjacency
+    degree = list(map(len, adj))
+    queue = [v for v, d in enumerate(degree) if d == 1]
+    if not queue:
+        return []
+    children = [[] for _ in adj]
+    branches = [0] * g.n  # peeled children that are not leaves
+    left = g.n
+    for v in queue:  # children are peeled before their parents
+        if left == 1:
+            queue.pop()  # the root of a tree
+            break
+        left -= 1
+        degree[v] = 0
+        for w in adj[v]:
+            if degree[w]:  # the one neighbour left
+                children[w].append(v)
+                branches[w] += bool(children[v])
+                degree[w] -= 1
+                if degree[w] == 1:
+                    queue.append(w)
+                break
+    if max(branches) < 2:
+        return []
+    label, forms = [0] * g.n, {(): 0}  # form 0: a leaf
+    for v in queue:
+        if children[v]:
+            form = tuple(sorted([label[c] for c in children[v]]))
+            label[v] = forms.setdefault(form, len(forms))
+    for kids in children:
+        kids.sort(key=lambda c: (label[c], pos[c]))
+    swaps = []
+    for kids, count in zip(children, branches):
+        if count < 2:
+            continue
+        for a, b in zip(kids, kids[1:]):
+            if label[a] == label[b] != 0:
+                pairs, todo = [], [(a, b)]
+                while todo:
+                    u, v = todo.pop()
+                    pairs.append((u, v))
+                    todo.extend(zip(children[u], children[v]))
+                swaps.append(pairs)
+    return swaps
+
+
+def _color_floors(g: Graph, order: list, pos: dict, twins: list) -> tuple:
+    """Per depth, the floors under its first color, and their flag list.
+
+    A floor ``(x, strict, slot, link, px, py)`` at the depth of y raises
+    y's first color to ``assignment[x] + strict`` while ``flags[link]`` is
+    set and px, py have one color; it stores that condition in
+    ``flags[slot]``. ``flags[0]`` is always set and vertex n always has
+    color 0, so ``(x, s, 0, 0, n, n)`` holds unconditionally.
+
+    Each floor is one step of the lex-leader order c <=_lex c o s in
+    search order, for an automorphism s:
+
+    - A twin takes a color above its latest earlier twin's (strict, as
+      twins differ): s swaps the two.
+    - For a swap of :func:`_branch_swaps`, take its pairs {x, y}, x before
+      y, in the order of x. While every earlier pair has equal colors, y's
+      color is at least x's. A pair's flag says that the pairs before it
+      are equal, so each step checks one pair. The steps stop at the first
+      pair decided before the one preceding it, where that flag would not
+      yet be known.
+    """
+    n = len(order)
+    floors, flags = [[] for _ in order], [True]
+    for cls in twins:
+        if len(cls) < 2:
+            continue
+        members = sorted(cls, key=pos.__getitem__)
+        for x, y in zip(members, members[1:]):
+            floors[pos[y]].append((x, 1, 0, 0, n, n))
+    for swap in _branch_swaps(g, pos):
+        ends = sorted(sorted((pos[u], pos[v])) for u, v in swap)
+        link, px, py, last = 0, n, n, -1
+        for a, b in ends:
+            if b < last:
+                break
+            x, y, slot = order[a], order[b], len(flags)
+            floors[b].append((x, 0, slot, link, px, py))
+            flags.append(True)
+            link, px, py, last = slot, x, y, b
+    return floors, flags
+
+
 def find_locating_coloring(
     g: Graph, k: int, budget: int = DEFAULT_BUDGET
 ) -> SearchResult:
@@ -275,9 +381,11 @@ def find_locating_coloring(
     Deterministic backtracking on an explicit stack, so its depth is not
     bounded by Python's recursion limit: vertices in descending-degree
     order, colors introduced first-occurrence-ordered to break the color
-    permutation symmetry. Twins take increasing colors in search order
-    (swapping two twins' colors is an automorphism), so a vertex's colors
-    start one above its latest earlier twin's. Each frame computes once
+    permutation symmetry. Graph automorphisms are broken by the floors of
+    :func:`_color_floors`, which raise a vertex's first color: twins take
+    increasing colors in search order, and of two swappable pendant trees
+    (:func:`_branch_swaps`) the later one's color pattern is
+    lexicographically no smaller. Each frame computes once its floor and
     the colors blocked by its earlier neighbors, and a frame too deep to
     still introduce every missing color is cut. Each color tried, blocked
     or not, is one node; the search stops at node budget + 1.
@@ -290,9 +398,12 @@ def find_locating_coloring(
     would collide at the leaf, so the frame is cut. The leaf reads the
     codes off the columns of ``near``: an O(nk) check.
 
-    Neither symmetry cut can remove the lexicographically smallest
-    locating coloring in search order, which is the one returned, so the
-    certificates and verdicts are those of the search without them.
+    No cut can remove the lexicographically smallest locating coloring
+    c* in search order, which is the one returned, so the certificates and
+    verdicts are those of the search without them. For an automorphism s,
+    c* o s is locating too, and first-occurrence renaming N never makes a
+    sequence larger: c* <= N(c* o s) <= c* o s, which is every floor's
+    condition.
 
     A non-``int`` k, or a budget that is not a positive ``int``, raises
     :class:`InputError`; above :data:`MAX_SEARCH_ORDER` vertices, a k that
@@ -315,16 +426,11 @@ def find_locating_coloring(
     dist = all_pairs_distances(g)
     order = _search_order(g)
     pos = {v: i for i, v in enumerate(order)}
-    # Per depth: the distance row, the earlier neighbors, the latest earlier
-    # twin (n, whose color stays 0, when there is none) and the pairs that
-    # settle there.
+    # Per depth: the distance row, the earlier neighbors, the color floors
+    # and the pairs that settle there.
     rows = [dist[v] for v in order]
     blockers = [[w for w in g.adjacency[v] if pos[w] < pos[v]] for v in order]
-    twin_id = {v: cls[0] for cls in twins for v in cls}
-    latest, last_twin = {}, []
-    for v in order:
-        last_twin.append(latest.get(twin_id[v], n))
-        latest[twin_id[v]] = v
+    floors, flags = _color_floors(g, order, pos, twins)
     settled = _settled_pairs(order, rows)
 
     assignment = [0] * (n + 1)
@@ -345,7 +451,11 @@ def find_locating_coloring(
             ):
                 i, fresh = i - 1, False
                 continue
-            color = assignment[last_twin[i]] + 1
+            color = 1
+            for x, strict, slot, link, px, py in floors[i]:
+                flags[slot] = on = flags[link] and assignment[px] == assignment[py]
+                if on and assignment[x] + strict > color:
+                    color = assignment[x] + strict
             blocked[i] = {assignment[w] for w in blockers[i]}
         else:
             color = nxt[i]
@@ -370,7 +480,25 @@ def find_locating_coloring(
     return SearchResult(INFEASIBLE, None, nodes)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+def _budget_keyed_cache(fn):
+    """Cache ``fn(g, budget)`` on (g, budget), however the budget is passed.
+
+    ``chi_L(g)``, ``chi_L(g, DEFAULT_BUDGET)`` and
+    ``chi_L(g, budget=DEFAULT_BUDGET)`` share one entry. The cache is
+    typed, so ``True`` is never served the result for ``1``. The wrapper
+    keeps ``cache_info``, ``cache_clear`` and ``__wrapped__``.
+    """
+    cached = functools.lru_cache(maxsize=None, typed=True)(fn)
+
+    @functools.wraps(fn)
+    def wrapper(g: Graph, budget: int = DEFAULT_BUDGET):
+        return cached(g, budget)
+
+    wrapper.cache_info, wrapper.cache_clear = cached.cache_info, cached.cache_clear
+    return wrapper
+
+
+@_budget_keyed_cache
 def chi_L(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiLResult:
     """Exact locating-chromatic number with a verifiable certificate.
 
@@ -378,8 +506,7 @@ def chi_L(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiLResult:
     feasibility is not assumed monotone in k. Exhaustion at some k gives
     the interval [k, n]. If all are refuted, n is certified without search
     by the all-distinct coloring in search order, as a search at k = n finds.
-    A budget that is not a positive ``int`` raises :class:`InputError`; the
-    cache is typed, so ``True`` is never served the result for ``1``.
+    A budget that is not a positive ``int`` raises :class:`InputError`.
     """
     _check_budget(budget)
     _require_connected(g)

@@ -1,6 +1,6 @@
 """The search kernel against its recursive predecessor, kept here only as a
-prune-free reference: the kernel's twin-order and settled-pair cuts may
-only remove nodes, never change a verdict or the first coloring."""
+prune-free reference: the kernel's twin-order, branch-swap and settled-pair
+cuts may only remove nodes, never change a verdict or the first coloring."""
 
 from itertools import combinations
 
@@ -9,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locachrom as lc
+from conftest import all_trees
 from locachrom.locating import (
     BUDGET_EXHAUSTED,
     FOUND,
     INFEASIBLE,
     Coloring,
     SearchResult,
+    _branch_swaps,
+    _color_floors,
+    _search_order,
 )
 
 
@@ -127,11 +131,46 @@ def connected_graphs(draw, max_order=8):
     return lc.make_graph(n, [p for p, keep in zip(pairs, mask) if keep] + path)
 
 
+@st.composite
+def pendant_graphs(draw, max_core=5, max_pendants=6):
+    # A connected core with pendant vertices hung one by one off any vertex
+    # so far, so that pendant trees nest and repeat.
+    core = draw(connected_graphs(max_order=max_core))
+    edges, n = list(core.edges), core.n
+    for _ in range(draw(st.integers(min_value=0, max_value=max_pendants))):
+        edges.append((draw(st.integers(min_value=0, max_value=n - 1)), n))
+        n += 1
+    return lc.make_graph(n, edges)
+
+
 @settings(deadline=None, max_examples=60)
 @given(connected_graphs())
 def test_search_matches_reference(g):
     for k in range(1, g.n + 1):
         assert_same_search(g, k)
+
+
+@settings(deadline=None, max_examples=60)
+@given(pendant_graphs())
+def test_search_matches_reference_with_pendant_trees(g):
+    for k in range(1, g.n + 1):
+        assert_same_search(g, k)
+
+
+@settings(deadline=None, max_examples=200)
+@given(pendant_graphs())
+def test_branch_swaps_are_automorphisms(g):
+    order = _search_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    for swap in _branch_swaps(g, pos):
+        sigma = list(range(g.n))
+        for u, v in swap:
+            sigma[u], sigma[v] = v, u
+        moved = [v for pair in swap for v in pair]
+        assert len(set(moved)) == len(moved), swap
+        assert {frozenset((sigma[a], sigma[b])) for a, b in g.edges} == {
+            frozenset(e) for e in g.edges
+        }, swap
 
 
 def test_search_matches_reference_exhaustively():
@@ -149,24 +188,35 @@ def corona_of(g, h):
     return lc.corona(g, h)[0]
 
 
-# (status, nodes) at budget 5e4, and the node count the reference kernel
-# without the twin-order and settled-pair cuts recorded there (50,001 is its
-# exhausted budget), which bounds this kernel's count.
-@pytest.mark.parametrize("build,k,status,nodes,reference_nodes", [
-    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 53, 104),
-    (lambda: lc.fixture_theorem2().graph, 5, FOUND, 41_626, 50_001),
+def test_search_matches_reference_on_trees():
+    # Every tree on at most 9 vertices, and every T (.) K1 with |T| <= 6,
+    # at every k: the graphs whose pendant trees the branch-swap order cuts.
+    k1 = lc.generate("empty", 1)
+    graphs = all_trees(9) + [corona_of(t, k1) for t in all_trees(6)]
+    for g in graphs:
+        for k in range(1, g.n + 1):
+            assert_same_search(g, k)
+
+
+# (status, nodes) at budget 5e4; the count of the kernel before the
+# branch-swap order; and the node count the reference kernel without the
+# symmetry and settled-pair cuts recorded there (50,001 is its exhausted
+# budget). Each count bounds the one before it.
+@pytest.mark.parametrize("build,k,status,nodes,earlier_nodes,reference_nodes", [
+    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 53, 53, 104),
+    (lambda: lc.fixture_theorem2().graph, 5, FOUND, 41_626, 41_626, 50_001),
     (lambda: corona_of(lc.generate("star", 8), lc.generate("path", 1)),
-     3, INFEASIBLE, 2_208, 49_152),
+     3, INFEASIBLE, 153, 2_208, 49_152),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     3, INFEASIBLE, 100, 2_256),
+     3, INFEASIBLE, 100, 100, 2_256),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     4, FOUND, 624, 13_523),
+     4, FOUND, 624, 624, 13_523),
 ], ids=["theorem2-k4", "theorem2-k5", "star8-k1-k3", "p5-p2-k3", "p5-p2-k4"])
-def test_pinned_node_counts(build, k, status, nodes, reference_nodes):
+def test_pinned_node_counts(build, k, status, nodes, earlier_nodes, reference_nodes):
     g = build()
     result = lc.find_locating_coloring(g, k, budget=50_000)
     assert (result.status, result.nodes) == (status, nodes)
-    assert result.nodes <= reference_nodes
+    assert result.nodes <= earlier_nodes <= reference_nodes
     if status == FOUND:
         assert lc.verify(g, result.coloring).locating
 
@@ -174,6 +224,37 @@ def test_pinned_node_counts(build, k, status, nodes, reference_nodes):
 def test_search_depth_beyond_recursion_limit():
     # 1,500 vertices deep, beyond Python's default recursion limit of 1,000.
     g = lc.generate("path", 1500)
+    result = lc.find_locating_coloring(g, 3, budget=10_000)
+    assert result.status == FOUND
+    assert lc.verify(g, result.coloring).locating
+
+
+def spider(legs: int, length: int) -> lc.Graph:
+    # Centre 0; leg j is the path 1 + j * length, ..., (j + 1) * length.
+    edges = []
+    for j in range(legs):
+        first = 1 + j * length
+        edges.append((0, first))
+        edges += [(v, v + 1) for v in range(first, first + length - 1)]
+    return lc.make_graph(1 + legs * length, edges)
+
+
+def test_branch_swap_tables_linear_on_long_legs():
+    # Two legs of 1,000 vertices are one swap of 1,000 pairs; detecting it
+    # recurses nowhere, and it adds one floor per depth, not a table
+    # quadratic in the leg length.
+    g = spider(2, 1_000)
+    order = _search_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    swaps = _branch_swaps(g, pos)
+    assert len(swaps) == 1 and len(swaps[0]) == 1_000
+    floors, flags = _color_floors(g, order, pos, lc.twin_classes(g))
+    assert sum(map(len, floors)) <= 1_000 and len(flags) <= 1_001
+
+
+def test_search_with_long_swappable_legs():
+    # The largest two-legged spider under MAX_SEARCH_ORDER.
+    g = spider(2, 999)
     result = lc.find_locating_coloring(g, 3, budget=10_000)
     assert result.status == FOUND
     assert lc.verify(g, result.coloring).locating

@@ -128,6 +128,15 @@ class TestChiL:
         with pytest.raises(lc.InputError, match="budget"):
             chi(lc.generate("complete", 3), "x")
 
+    def test_default_budget_shares_one_cache_entry(self):
+        g = lc.generate("path", 7)
+        lc.chi_L.cache_clear()
+        results = [lc.chi_L(g), lc.chi_L(g, lc.DEFAULT_BUDGET),
+                   lc.chi_L(g, budget=lc.DEFAULT_BUDGET)]
+        info = lc.chi_L.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert results[0] is results[1] is results[2]
+
     def test_true_budget_not_served_from_cache(self):
         g = lc.generate("path", 4)
         assert lc.chi_L(g, 1).value is None
