@@ -398,6 +398,15 @@ def find_locating_coloring(
     would collide at the leaf, so the frame is cut. The leaf reads the
     codes off the columns of ``near``: an O(nk) check.
 
+    A colored vertex w is *full* when N[w] holds all k colors. Its code is
+    then 0 at its own color and 1 elsewhere for good: class distances only
+    fall, and a 1 turns 0 only by coloring w itself. So two full vertices
+    of one color collide at every leaf below, and the frame is cut. Color
+    c lies in N[w] exactly when ``near[c][w]`` <= 1, so coloring v with c
+    adds c to N[w] for the w in N[v] colored so far whose saved entry is
+    above 1: ``distinct`` counts the colors per vertex and ``full`` the
+    full vertices per color, O(deg v) per colored node and undone alike.
+
     No cut can remove the lexicographically smallest locating coloring
     c* in search order, which is the one returned, so the certificates and
     verdicts are those of the search without them. For an automorphism s,
@@ -426,29 +435,43 @@ def find_locating_coloring(
     dist = all_pairs_distances(g)
     order = _search_order(g)
     pos = {v: i for i, v in enumerate(order)}
-    # Per depth: the distance row, the earlier neighbors, the color floors
-    # and the pairs that settle there.
+    # Per depth: the distance row; the vertex with its earlier neighbors,
+    # the colored part of N[v] once v is colored; the color floors and the
+    # pairs that settle there.
     rows = [dist[v] for v in order]
-    blockers = [[w for w in g.adjacency[v] if pos[w] < pos[v]] for v in order]
+    closed = [
+        [v] + [w for w in g.adjacency[v] if pos[w] < i] for i, v in enumerate(order)
+    ]
     floors, flags = _color_floors(g, order, pos, twins)
     settled = _settled_pairs(order, rows)
 
     assignment = [0] * (n + 1)
     near = [[n] * n for _ in range(k + 1)]  # near[0] is never changed
+    # distinct[w]: the colors in N[w], for w colored; full[c]: the full
+    # vertices of color c. (With n = 1, near's n is not above 1; nothing
+    # is counted, and one vertex cannot collide.)
+    distinct, full = [0] * n, [0] * (k + 1)
+    classes = range(1, k + 1)
     # Per depth: next color, blocked colors, colors used before it, and the
     # near list its current color replaced.
     nxt, blocked, used, saved = [0] * n, [None] * n, [0] * (n + 1), [None] * n
     nodes = 0
-    i, fresh = 0, True
+    i, fresh, clash = 0, True, False
     while i >= 0:
         if fresh:
             if i == n and used[n] == k and len(set(zip(*near[1:]))) == n:
                 return SearchResult(FOUND, Coloring(k, tuple(assignment[:n])), nodes)
-            if i == n or used[i] + n - i < k or settled[i] and any(
-                assignment[u] == assignment[v]
-                and all(col[u] == col[v] for col in near)
-                for u, v in settled[i]
-            ):
+            cut = clash or i == n or used[i] + n - i < k
+            if not cut:
+                for u, v in settled[i]:
+                    if assignment[u] == assignment[v]:
+                        for c in classes:
+                            if near[c][u] != near[c][v]:
+                                break
+                        else:
+                            cut = True
+                            break
+            if cut:
                 i, fresh = i - 1, False
                 continue
             color = 1
@@ -456,10 +479,16 @@ def find_locating_coloring(
                 flags[slot] = on = flags[link] and assignment[px] == assignment[py]
                 if on and assignment[x] + strict > color:
                     color = assignment[x] + strict
-            blocked[i] = {assignment[w] for w in blockers[i]}
+            blocked[i] = {assignment[w] for w in closed[i]}  # and 0, v's own
         else:
             color = nxt[i]
-            near[color - 1] = saved[i]
+            old = near[color - 1] = saved[i]
+            for w in closed[i]:
+                if old[w] > 1:
+                    if distinct[w] == k:
+                        full[assignment[w]] -= 1
+                    distinct[w] -= 1
+            clash = False
         top, block = min(k, used[i] + 1), blocked[i]
         while color <= top:
             nodes += 1
@@ -469,11 +498,19 @@ def find_locating_coloring(
                 break
             color += 1
         else:
+            assignment[order[i]] = 0  # uncolored, as ``blocked`` expects
             i, fresh = i - 1, False
             continue
         saved[i] = old = near[color]
         near[color] = [a if a < b else b for a, b in zip(old, rows[i])]
         assignment[order[i]] = color
+        distinct[order[i]] = len(block) - 1  # the colors of its earlier neighbors
+        for w in closed[i]:
+            if old[w] > 1:
+                distinct[w] += 1
+                if distinct[w] == k:
+                    full[assignment[w]] += 1
+                    clash = clash or full[assignment[w]] > 1
         nxt[i] = color + 1
         used[i + 1] = color if color > used[i] else used[i]
         i, fresh = i + 1, True

@@ -1,6 +1,7 @@
 """The search kernel against its recursive predecessor, kept here only as a
-prune-free reference: the kernel's twin-order, branch-swap and settled-pair
-cuts may only remove nodes, never change a verdict or the first coloring."""
+prune-free reference: the kernel's four cuts (twin order, branch-swap
+order, settled pairs and full-code collisions) may only remove nodes,
+never change a verdict or the first coloring."""
 
 from itertools import combinations
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locachrom as lc
-from conftest import all_trees
+from conftest import all_trees, atlas_connected
 from locachrom.locating import (
     BUDGET_EXHAUSTED,
     FOUND,
@@ -198,27 +199,85 @@ def test_search_matches_reference_on_trees():
             assert_same_search(g, k)
 
 
-# (status, nodes) at budget 5e4; the count of the kernel before the
-# branch-swap order; and the node count the reference kernel without the
-# symmetry and settled-pair cuts recorded there (50,001 is its exhausted
-# budget). Each count bounds the one before it.
+# (status, nodes) at budget 5e4; the counts of earlier kernels, newest
+# first: before the full-code cut, then before the branch-swap order; and
+# the node count the reference kernel without the symmetry and settled-pair
+# cuts recorded there (50,001 is its exhausted budget). Each count bounds
+# the one before it.
 @pytest.mark.parametrize("build,k,status,nodes,earlier_nodes,reference_nodes", [
-    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 53, 53, 104),
-    (lambda: lc.fixture_theorem2().graph, 5, FOUND, 41_626, 41_626, 50_001),
+    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 53, (53, 53), 104),
+    (lambda: lc.fixture_theorem2().graph, 5, FOUND, 4_870, (41_626, 41_626), 50_001),
     (lambda: corona_of(lc.generate("star", 8), lc.generate("path", 1)),
-     3, INFEASIBLE, 153, 2_208, 49_152),
+     3, INFEASIBLE, 153, (153, 2_208), 49_152),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     3, INFEASIBLE, 100, 100, 2_256),
+     3, INFEASIBLE, 65, (100, 100), 2_256),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     4, FOUND, 624, 624, 13_523),
+     4, FOUND, 491, (624, 624), 13_523),
 ], ids=["theorem2-k4", "theorem2-k5", "star8-k1-k3", "p5-p2-k3", "p5-p2-k4"])
 def test_pinned_node_counts(build, k, status, nodes, earlier_nodes, reference_nodes):
     g = build()
     result = lc.find_locating_coloring(g, k, budget=50_000)
     assert (result.status, result.nodes) == (status, nodes)
-    assert result.nodes <= earlier_nodes <= reference_nodes
+    assert result.nodes <= earlier_nodes[0] <= earlier_nodes[1] <= reference_nodes
     if status == FOUND:
         assert lc.verify(g, result.coloring).locating
+
+
+def test_full_code_cut_refutes_p5_p3_at_k4():
+    # Without the cut, this search exhausts a budget of 5e4 nodes (81,458
+    # nodes at 2e6). With it, chi_L(P5 (.) P3) = 5 is decided at 5e4.
+    g = corona_of(lc.generate("path", 5), lc.generate("path", 3))
+    assert lc.find_locating_coloring(g, 4, budget=50_000) == SearchResult(
+        INFEASIBLE, None, 45_878
+    )
+    assert lc.find_locating_coloring(g, 5, budget=50_000).status == FOUND
+
+
+def full_vertices_by_color(g, coloring):
+    # color -> the vertices of that color whose closed neighbourhood holds
+    # all k colors, computed from the graph alone.
+    colors, everything = coloring.colors, set(range(1, coloring.k + 1))
+    full = {}
+    for v, nbrs in enumerate(g.adjacency):
+        if {colors[v], *(colors[w] for w in nbrs)} == everything:
+            full.setdefault(colors[v], []).append(v)
+    return full
+
+
+def assert_no_two_full_vertices_share_a_color(g, coloring):
+    assert lc.verify(g, coloring).locating
+    for color, members in full_vertices_by_color(g, coloring).items():
+        assert len(members) == 1, (g, coloring, color, members)
+
+
+def test_full_code_premise_on_certificates():
+    # The cut's premise, checked without the kernel: in a locating coloring,
+    # no two full vertices share a color. Over certificates from chi_L and
+    # from every shipped construction.
+    for g in atlas_connected(6):
+        assert_no_two_full_vertices_share_a_color(g, lc.chi_L(g).certificate)
+    for n in range(4, 61):
+        result = lc.star_corona_coloring(n)
+        g = corona_of(lc.generate("star", n), lc.generate("empty", 1))
+        assert_no_two_full_vertices_share_a_color(g, result.coloring)
+    for g in atlas_connected(4):
+        for k in range(max(2, g.n - 1), 6):
+            result = lc.empty_corona_coloring(g, k)
+            assert_no_two_full_vertices_share_a_color(
+                corona_of(g, lc.generate("empty", k)), result.coloring
+            )
+    # The Theorem 2 coloring has three full vertices, so the check bites.
+    fixture = lc.fixture_theorem2()
+    assert_no_two_full_vertices_share_a_color(fixture.graph, fixture.result.coloring)
+    full = full_vertices_by_color(fixture.graph, fixture.result.coloring)
+    assert sum(map(len, full.values())) == 3
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_graphs())
+def test_full_code_premise_on_random_certificates(g):
+    if g.n >= 2:
+        assert_no_two_full_vertices_share_a_color(g, lc.chi_L(g).certificate)
 
 
 def test_search_depth_beyond_recursion_limit():

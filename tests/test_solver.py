@@ -5,7 +5,7 @@ from conftest import atlas_connected
 
 import locachrom as lc
 from locachrom.graphs import SizeLimitError
-from locachrom.locating import BUDGET_EXHAUSTED, FOUND, INFEASIBLE
+from locachrom.locating import BUDGET_EXHAUSTED, FOUND, INFEASIBLE, SearchResult
 
 
 def corona_p2_p2():
@@ -50,8 +50,10 @@ class TestFindLocatingColoring:
         assert lc.find_locating_coloring(lc.generate("star", 7), 3).status == INFEASIBLE
 
     def test_path_1500_searchable(self):
+        # chi_L(P_n) = 3: at k = 2 the full-code cut refutes the whole
+        # 1,500-vertex order within the budget.
         result = lc.find_locating_coloring(lc.generate("path", 1500), 2, budget=10)
-        assert result.status == BUDGET_EXHAUSTED
+        assert result == SearchResult(INFEASIBLE, None, 5)
 
     def test_budget_exhaustion_is_explicit(self):
         prod, _ = lc.corona(lc.generate("path", 4), lc.generate("path", 3))
