@@ -373,6 +373,40 @@ def _color_floors(g: Graph, order: list, pos: dict, twins: list) -> tuple:
     return floors, flags
 
 
+class _SearchTables:
+    """The part of a search that does not depend on k, for one graph.
+
+    ``twins`` is built at once, in O(n + m). ``tables`` holds the O(n^2)
+    part, built on first use: per depth, the distance row; the vertex
+    with its earlier neighbors, the colored part of N[v] once v is
+    colored; the color floors with their flags, and the pairs that settle
+    there.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.twins = twin_classes(g)
+
+    @functools.cached_property
+    def tables(self) -> tuple:
+        g = self.g
+        dist = all_pairs_distances(g)
+        order = _search_order(g)
+        pos = {v: i for i, v in enumerate(order)}
+        rows = [dist[v] for v in order]
+        closed = [
+            [v] + [w for w in g.adjacency[v] if pos[w] < i]
+            for i, v in enumerate(order)
+        ]
+        floors, flags = _color_floors(g, order, pos, self.twins)
+        return order, rows, closed, floors, flags, _settled_pairs(order, rows)
+
+
+# One slot: chi_L searches one graph at k = LB, LB + 1, ..., and its own
+# cache keeps every graph it has seen alive, so per-graph tables would too.
+_search_tables = functools.lru_cache(maxsize=1)(_SearchTables)
+
+
 def find_locating_coloring(
     g: Graph, k: int, budget: int = DEFAULT_BUDGET
 ) -> SearchResult:
@@ -414,9 +448,18 @@ def find_locating_coloring(
     sequence larger: c* <= N(c* o s) <= c* o s, which is every floor's
     condition.
 
+    Two rules refute k in 0 nodes, with no O(n^2) table: k = 2 when
+    n >= 3, since in a connected proper 2-coloring every vertex has a
+    neighbor of the other color, so only the codes (0, 1) and (1, 0)
+    exist; and k below the size of a twin class. Everything else that
+    does not depend on k is built once per graph (:class:`_SearchTables`)
+    and kept for the last graph searched, so ``chi_L``'s searches at
+    successive k share one build.
+
     A non-``int`` k, or a budget that is not a positive ``int``, raises
     :class:`InputError`; above :data:`MAX_SEARCH_ORDER` vertices, a k that
-    the twin classes do not refute raises :class:`SizeLimitError`.
+    those two rules do not refute raises :class:`SizeLimitError`, even
+    when the graph's tables are already built.
     """
     _require_connected(g)
     _check_budget(budget)
@@ -425,25 +468,16 @@ def find_locating_coloring(
     if not (1 <= k <= g.n):
         raise InputError(f"need 1 <= k <= {g.n}, got {k}")
 
-    twins = twin_classes(g)
-    if any(len(cls) > k for cls in twins):
-        return SearchResult(INFEASIBLE, None, 0)
-
     n = g.n
+    if k == 2 < n:
+        return SearchResult(INFEASIBLE, None, 0)
+    setup = _search_tables(g)
+    if any(len(cls) > k for cls in setup.twins):
+        return SearchResult(INFEASIBLE, None, 0)
     if n > MAX_SEARCH_ORDER:
         raise SizeLimitError(f"order {n} exceeds the search limit {MAX_SEARCH_ORDER}")
-    dist = all_pairs_distances(g)
-    order = _search_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    # Per depth: the distance row; the vertex with its earlier neighbors,
-    # the colored part of N[v] once v is colored; the color floors and the
-    # pairs that settle there.
-    rows = [dist[v] for v in order]
-    closed = [
-        [v] + [w for w in g.adjacency[v] if pos[w] < i] for i, v in enumerate(order)
-    ]
-    floors, flags = _color_floors(g, order, pos, twins)
-    settled = _settled_pairs(order, rows)
+    order, rows, closed, floors, flags, settled = setup.tables
+    flags = flags.copy()  # the floors write their conditions here
 
     assignment = [0] * (n + 1)
     near = [[n] * n for _ in range(k + 1)]  # near[0] is never changed

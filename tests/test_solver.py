@@ -8,9 +8,13 @@ from locachrom.graphs import SizeLimitError
 from locachrom.locating import BUDGET_EXHAUSTED, FOUND, INFEASIBLE, SearchResult
 
 
-def corona_p2_p2():
-    prod, _ = lc.corona(lc.generate("path", 2), lc.generate("path", 2))
+def corona(g, h):
+    prod, _ = lc.corona(g, h)
     return prod
+
+
+def corona_p2_p2():
+    return corona(lc.generate("path", 2), lc.generate("path", 2))
 
 
 class TestFindLocatingColoring:
@@ -44,16 +48,17 @@ class TestFindLocatingColoring:
         monkeypatch.setattr(lc.locating, "MAX_SEARCH_ORDER", 5)
         assert lc.find_locating_coloring(lc.generate("path", 5), 3).status == FOUND
         monkeypatch.setattr(lc.locating, "all_pairs_distances", quadratic)
+        lc.locating._search_tables.cache_clear()  # no table from the cache
         with pytest.raises(SizeLimitError, match="order 6 exceeds the search limit 5"):
             lc.find_locating_coloring(lc.generate("path", 6), 3)
         # A k that the twin classes refute needs no table.
         assert lc.find_locating_coloring(lc.generate("star", 7), 3).status == INFEASIBLE
 
     def test_path_1500_searchable(self):
-        # chi_L(P_n) = 3: at k = 2 the full-code cut refutes the whole
-        # 1,500-vertex order within the budget.
-        result = lc.find_locating_coloring(lc.generate("path", 1500), 2, budget=10)
-        assert result == SearchResult(INFEASIBLE, None, 5)
+        # The tables of the whole 1,500-vertex order are built and searched
+        # until the budget runs out; k = 2 would be refuted without search.
+        result = lc.find_locating_coloring(lc.generate("path", 1500), 3, budget=10)
+        assert result == SearchResult(BUDGET_EXHAUSTED, None, 11)
 
     def test_budget_exhaustion_is_explicit(self):
         prod, _ = lc.corona(lc.generate("path", 4), lc.generate("path", 3))
@@ -73,6 +78,62 @@ class TestFindLocatingColoring:
         a = lc.find_locating_coloring(corona_p2_p2(), 4)
         b = lc.find_locating_coloring(corona_p2_p2(), 4)
         assert a == b
+
+
+class TestSearchTables:
+    """The k-independent tables are built once per graph and shared by the
+    searches at every k, with no effect on any result."""
+
+    def test_chi_l_builds_distances_once(self, monkeypatch):
+        searched, built = [], []
+        search, apsp = lc.locating.find_locating_coloring, lc.locating.all_pairs_distances
+
+        def counting_search(g, k, budget):
+            result = search(g, k, budget)
+            searched.append((k, result.status))
+            return result
+
+        def counting_apsp(g):
+            built.append(g)
+            return apsp(g)
+
+        monkeypatch.setattr(lc.locating, "find_locating_coloring", counting_search)
+        monkeypatch.setattr(lc.locating, "all_pairs_distances", counting_apsp)
+        lc.locating._search_tables.cache_clear()
+        g = corona(lc.generate("path", 3), lc.generate("path", 3))
+        assert lc.chi_L.__wrapped__(g).value == 5
+        assert searched == [(3, INFEASIBLE), (4, INFEASIBLE), (5, FOUND)]
+        assert built == [g]
+
+    def test_interleaved_searches_equal_fresh_ones(self):
+        a = corona(lc.generate("star", 4), lc.generate("empty", 1))
+        b = corona_p2_p2()
+        # a has branch swaps, so its searches write floor flags.
+        lc.locating._search_tables.cache_clear()
+        flags = lc.locating._search_tables(a).tables[4]
+        assert len(flags) > 1
+        shared = [(g, k, lc.find_locating_coloring(g, k))
+                  for g in (a, b, a) for k in range(1, g.n + 1)]
+        assert lc.locating._search_tables(a).tables[4] is not flags  # rebuilt
+        assert all(lc.locating._search_tables(a).tables[4])  # never written
+        for g, k, result in shared:
+            lc.locating._search_tables.cache_clear()
+            assert lc.find_locating_coloring(g, k) == result, (g, k)
+
+    def test_search_limit_holds_for_cached_tables(self, monkeypatch):
+        g = lc.generate("path", 6)
+        assert lc.find_locating_coloring(g, 3).status == FOUND
+        monkeypatch.setattr(lc.locating, "MAX_SEARCH_ORDER", 5)
+        hits = lc.locating._search_tables.cache_info().hits
+        with pytest.raises(SizeLimitError, match="order 6 exceeds the search limit 5"):
+            lc.find_locating_coloring(g, 3)
+        assert lc.locating._search_tables.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("n", [3, 4, 1500])
+    def test_two_colors_refuted_without_search(self, n):
+        # A connected proper 2-coloring gives only the codes (0, 1), (1, 0).
+        g = lc.generate("path", n)
+        assert lc.find_locating_coloring(g, 2) == SearchResult(INFEASIBLE, None, 0)
 
 
 class TestChiL:
