@@ -226,7 +226,7 @@ def locating_lower_bound(g: Graph) -> tuple:
         raise InputError("lower bound requires order >= 2")
 
     best, tag = 2, "trivial-order"
-    for cls in twin_classes(g):
+    for cls in _search_tables(g).twins:  # shared with the searches of g
         if len(cls) < 2:
             continue
         bound = len(cls) + (len(cls) < g.n)
@@ -373,19 +373,94 @@ def _color_floors(g: Graph, order: list, pos: dict, twins: list) -> tuple:
     return floors, flags
 
 
+def _clique_sizes(g: Graph, twins: list) -> list:
+    """Per vertex v, the size q(v) of a clique of G+ inside N[v].
+
+    G+ is G plus an edge between any two twins, so a clique of G+ needs
+    distinct colors in every locating coloring. If q(v) >= k, N[v] thus
+    holds all k colors, and v's code is 0 at its own color and 1
+    elsewhere.
+
+    The clique grows greedily from v over N(v) in its fixed order,
+    keeping the candidates adjacent in G+ to all of it. Adding a twin of
+    a member leaves those candidates, bar itself, as they were, since
+    N+(w) + w is one set for the whole twin class. So each class is
+    intersected once, as one set shared by its members, and a star's
+    center costs O(n), not O(n^2). Memory is one set per vertex, N(v),
+    and one per twin class: O(n + m).
+    """
+    adj = g.adjacency
+    nbrs = [set(a) for a in adj]
+    label, shared = [0] * len(adj), [None]  # label 0: no twin
+    for cls in twins:
+        if len(cls) > 1:
+            for v in cls:
+                label[v] = len(shared)
+            shared.append(frozenset(cls))
+    sizes = []
+    for v, around in enumerate(adj):
+        cand, q, seen = nbrs[v], 1, {label[v]}
+        for w in around:  # each w once, so w may stay in cand
+            if w not in cand:
+                continue
+            q += 1
+            t = label[w]
+            if not t:
+                cand = cand & nbrs[w]
+            elif t not in seen:
+                seen.add(t)
+                cand = (cand & nbrs[w]) | (cand & shared[t])
+        sizes.append(q)
+    return sizes
+
+
+def _pendant_groups(g: Graph) -> list:
+    """Pendant pairs (l, p), grouped by N(l) - p.
+
+    p is a leaf and l, of degree >= 2, has no other leaf neighbor. In one
+    group, l and l' are equidistant from every vertex outside their two
+    pairs, since each path from l leaves through N(l) - p. So if l, l'
+    had one color and p, p' had one color, l and l' would have one code.
+    Every l of a group avoids the colors of the common N(l) - p, and p
+    avoids l's color, so a group of more than (k - 1)^2 pairs refutes k.
+    """
+    adj = g.adjacency
+    leaves = {}  # a vertex -> its leaf neighbors
+    for p, around in enumerate(adj):
+        if len(around) == 1:
+            leaves.setdefault(around[0], []).append(p)
+    groups = {}
+    for v, ps in leaves.items():
+        if len(ps) == 1 and len(adj[v]) > 1:
+            key = tuple(w for w in adj[v] if w != ps[0])
+            groups.setdefault(key, []).append((v, ps[0]))
+    return list(groups.values())
+
+
 class _SearchTables:
     """The part of a search that does not depend on k, for one graph.
 
-    ``twins`` is built at once, in O(n + m). ``tables`` holds the O(n^2)
-    part, built on first use: per depth, the distance row; the vertex
-    with its earlier neighbors, the colored part of N[v] once v is
-    colored; the color floors with their flags, and the pairs that settle
-    there.
+    ``twins`` is built at once, in O(n + m). The rest is built on first
+    use: ``cliques`` and ``pendant_group`` feed the static refutations,
+    in O(n + m) memory, and ``tables`` holds the O(n^2) part.
+    Per depth, ``tables`` has the distance row; the vertex with its
+    earlier neighbors, the colored part of N[v] once v is colored; the
+    color floors with their flags, and the pairs that settle there.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.twins = twin_classes(g)
+
+    @functools.cached_property
+    def cliques(self) -> list:
+        """:func:`_clique_sizes`, descending."""
+        return sorted(_clique_sizes(self.g, self.twins), reverse=True)
+
+    @functools.cached_property
+    def pendant_group(self) -> int:
+        """The size of the largest of :func:`_pendant_groups` (0 if none)."""
+        return max(map(len, _pendant_groups(self.g)), default=0)
 
     @functools.cached_property
     def tables(self) -> tuple:
@@ -448,18 +523,31 @@ def find_locating_coloring(
     sequence larger: c* <= N(c* o s) <= c* o s, which is every floor's
     condition.
 
-    Two rules refute k in 0 nodes, with no O(n^2) table: k = 2 when
-    n >= 3, since in a connected proper 2-coloring every vertex has a
-    neighbor of the other color, so only the codes (0, 1) and (1, 0)
-    exist; and k below the size of a twin class. Everything else that
-    does not depend on k is built once per graph (:class:`_SearchTables`)
-    and kept for the last graph searched, so ``chi_L``'s searches at
-    successive k share one build.
+    Five rules refute k in 0 nodes, with no O(n^2) table:
+
+    - k = 2 when n >= 3: in a connected proper 2-coloring every vertex
+      has a neighbor of the other color, so only the codes (0, 1) and
+      (1, 0) exist;
+    - k below the size of a twin class, whose members need distinct
+      colors;
+    - k below some q(v) of :func:`_clique_sizes`, a clique of G plus its
+      twin pairs inside N[v], which needs q(v) colors;
+    - k with more than k vertices of q(v) >= k: each such v sees all k
+      colors in N[v], so its code is 0 at its color and 1 elsewhere, and
+      two of them of one color would collide;
+    - k with more than (k - 1)^2 pendant pairs in one of
+      :func:`_pendant_groups`, whose pairs need distinct color pairs.
+
+    The clique and pendant tables are O(n + m). Everything that does not
+    depend on k is built once per graph (:class:`_SearchTables`) and kept
+    for the last graph searched, so ``chi_L``'s searches at successive k
+    share one build. The rules only refute k that have no locating
+    coloring, so they change no verdict or certificate.
 
     A non-``int`` k, or a budget that is not a positive ``int``, raises
     :class:`InputError`; above :data:`MAX_SEARCH_ORDER` vertices, a k that
-    those two rules do not refute raises :class:`SizeLimitError`, even
-    when the graph's tables are already built.
+    those rules do not refute raises :class:`SizeLimitError`, even when
+    the graph's tables are already built.
     """
     _require_connected(g)
     _check_budget(budget)
@@ -472,7 +560,12 @@ def find_locating_coloring(
     if k == 2 < n:
         return SearchResult(INFEASIBLE, None, 0)
     setup = _search_tables(g)
-    if any(len(cls) > k for cls in setup.twins):
+    if (
+        any(len(cls) > k for cls in setup.twins)
+        or setup.cliques[0] > k
+        or k < n and setup.cliques[k] >= k  # more than k full vertices
+        or setup.pendant_group > (k - 1) ** 2
+    ):
         return SearchResult(INFEASIBLE, None, 0)
     if n > MAX_SEARCH_ORDER:
         raise SizeLimitError(f"order {n} exceeds the search limit {MAX_SEARCH_ORDER}")

@@ -7,8 +7,13 @@ from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
+from hypothesis import settings
 
 import locachrom as lc
+
+# Selected in CI with --hypothesis-profile=ci: a failing example is printed
+# with its reproduction blob, for @reproduce_failure on another machine.
+settings.register_profile("ci", print_blob=True)
 
 
 def from_networkx(G) -> lc.Graph:

@@ -230,11 +230,13 @@ class TestBounds:
         assert (data["lower_tag"], data["upper_tag"]) == ("k1-join-lower", "k1-join-upper")
 
     def test_k1_g_budget_exhausted(self, tmp_path, capsys):
+        # K1 (.) C6 is the wheel W6, of value 5; k = 3 is refuted without
+        # search, so the one-node budget runs out at k = 4.
         g = write_graph(tmp_path / "k1.graph", lc.generate("path", 1))
-        h = write_graph(tmp_path / "c4.graph", lc.generate("cycle", 4))
+        h = write_graph(tmp_path / "c6.graph", lc.generate("cycle", 6))
         assert main(["--budget", "1", "bounds", g, h]) == EXIT_INDETERMINATE
         assert capsys.readouterr().out.splitlines()[:2] == [
-            "lower = 3 (k1-join-lower)", "upper = 5 (k1-join-upper)",
+            "lower = 4 (k1-join-lower)", "upper = 7 (k1-join-upper)",
         ]
 
 

@@ -75,9 +75,10 @@ class TestCoronaBounds:
         assert report.tags == {"k1-join-lower": value, "k1-join-upper": value}
 
     def test_k1_corona_interval_on_budget_exhaustion(self):
-        report = lc.corona_bounds(lc.generate("path", 1), lc.generate("cycle", 4), budget=1)
-        assert (report.lower, report.upper, report.indeterminate) == (3, 5, True)
-        assert report.tags == {"k1-join-lower": 3, "k1-join-upper": 5}
+        # K1 (.) C6 = W6 has value 5; k = 3 is refuted without search.
+        report = lc.corona_bounds(lc.generate("path", 1), lc.generate("cycle", 6), budget=1)
+        assert (report.lower, report.upper, report.indeterminate) == (4, 7, True)
+        assert report.tags == {"k1-join-lower": 4, "k1-join-upper": 7}
 
 
 class TestCoronaUpperColoring:

@@ -1,6 +1,7 @@
 """The search kernel against its recursive predecessor, kept here only as a
 prune-free reference: the kernel's four cuts (twin order, branch-swap
-order, settled pairs and full-code collisions) may only remove nodes,
+order, settled pairs and full-code collisions) and its static
+refutations (clique, full vertex, pendant pair) may only remove nodes,
 never change a verdict or the first coloring."""
 
 from itertools import combinations
@@ -18,8 +19,11 @@ from locachrom.locating import (
     Coloring,
     SearchResult,
     _branch_swaps,
+    _clique_sizes,
     _color_floors,
+    _pendant_groups,
     _search_order,
+    _SearchTables,
 )
 
 
@@ -200,37 +204,48 @@ def test_search_matches_reference_on_trees():
 
 
 # (status, nodes) at budget 5e4; the counts of earlier kernels, newest
-# first: before the full-code cut, then before the branch-swap order; and
-# the node count the reference kernel without the symmetry and settled-pair
+# first: before the static clique, full-vertex and pendant-pair rules,
+# before the full-code cut, then before the branch-swap order; and the
+# node count the reference kernel without the symmetry and settled-pair
 # cuts recorded there (50,001 is its exhausted budget). Each count bounds
-# the one before it.
+# the one before it. The last three instances are left to the search.
 @pytest.mark.parametrize("build,k,status,nodes,earlier_nodes,reference_nodes", [
-    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 53, (53, 53), 104),
-    (lambda: lc.fixture_theorem2().graph, 5, FOUND, 4_870, (41_626, 41_626), 50_001),
+    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 0, (53, 53, 53), 104),
+    (lambda: lc.fixture_theorem2().graph, 5, FOUND, 4_870, (4_870, 41_626, 41_626), 50_001),
     (lambda: corona_of(lc.generate("star", 8), lc.generate("path", 1)),
-     3, INFEASIBLE, 153, (153, 2_208), 49_152),
+     3, INFEASIBLE, 0, (153, 153, 2_208), 49_152),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     3, INFEASIBLE, 65, (100, 100), 2_256),
+     3, INFEASIBLE, 0, (65, 100, 100), 2_256),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     4, FOUND, 491, (624, 624), 13_523),
-], ids=["theorem2-k4", "theorem2-k5", "star8-k1-k3", "p5-p2-k3", "p5-p2-k4"])
+     4, FOUND, 491, (491, 624, 624), 13_523),
+    (lambda: corona_of(lc.generate("path", 3), lc.generate("path", 4)),
+     4, INFEASIBLE, 10_768, (10_768, 32_576, 32_576), 50_001),
+    (lambda: corona_of(lc.generate("path", 4), lc.generate("path", 3)),
+     4, INFEASIBLE, 5_409, (5_409, 8_262, 8_262), 50_001),
+    (lambda: corona_of(lc.generate("star", 10), lc.generate("path", 1)),
+     4, INFEASIBLE, 4_429, (4_429, 4_429, 50_001), 50_001),
+], ids=["theorem2-k4", "theorem2-k5", "star8-k1-k3", "p5-p2-k3", "p5-p2-k4",
+        "p3-p4-k4", "p4-p3-k4", "star10-k1-k4"])
 def test_pinned_node_counts(build, k, status, nodes, earlier_nodes, reference_nodes):
     g = build()
     result = lc.find_locating_coloring(g, k, budget=50_000)
     assert (result.status, result.nodes) == (status, nodes)
-    assert result.nodes <= earlier_nodes[0] <= earlier_nodes[1] <= reference_nodes
+    counts = (result.nodes, *earlier_nodes, reference_nodes)
+    assert list(counts) == sorted(counts)
     if status == FOUND:
         assert lc.verify(g, result.coloring).locating
 
 
-def test_full_code_cut_refutes_p5_p3_at_k4():
-    # Without the cut, this search exhausts a budget of 5e4 nodes (81,458
-    # nodes at 2e6). With it, chi_L(P5 (.) P3) = 5 is decided at 5e4.
-    g = corona_of(lc.generate("path", 5), lc.generate("path", 3))
-    assert lc.find_locating_coloring(g, 4, budget=50_000) == SearchResult(
-        INFEASIBLE, None, 45_878
-    )
-    assert lc.find_locating_coloring(g, 5, budget=50_000).status == FOUND
+def test_full_code_cut_decides_p5_k2_k1_at_k4():
+    # Without the cut, this search exhausts a budget of 5e4 nodes (75,250
+    # nodes at 2e6). With it, chi_L(P5 (.) (K2 u K1)) = 4 is decided at
+    # 5e4. P5 (.) P3 at k = 4, which this test checked before, is now
+    # refuted before the search by the full-vertex rule.
+    h = lc.disjoint_union(lc.generate("path", 2), lc.generate("path", 1))
+    g = corona_of(lc.generate("path", 5), h)
+    result = lc.find_locating_coloring(g, 4, budget=50_000)
+    assert (result.status, result.nodes) == (FOUND, 24_697)
+    assert lc.verify(g, result.coloring).locating
 
 
 def full_vertices_by_color(g, coloring):
@@ -278,6 +293,73 @@ def test_full_code_premise_on_certificates():
 def test_full_code_premise_on_random_certificates(g):
     if g.n >= 2:
         assert_no_two_full_vertices_share_a_color(g, lc.chi_L(g).certificate)
+
+
+# Whether a static rule refutes k, read off a graph's search tables.
+STATIC_RULES = {
+    "clique": lambda tables, k: tables.cliques[0] > k,
+    "full-vertex": lambda tables, k: tables.cliques[k] >= k,
+    "pendant-pair": lambda tables, k: tables.pendant_group > (k - 1) ** 2,
+}
+
+
+@pytest.mark.parametrize("g,rule", [
+    *((corona_of(lc.generate("star", n), lc.generate("empty", 1)), "pendant-pair")
+      for n in (6, 7, 8)),
+    (corona_of(lc.generate("path", 2), lc.generate("path", 2)), "full-vertex"),
+    (corona_of(lc.generate("path", 3), lc.generate("path", 3)), "clique"),
+    (lc.generate("cycle", 4), "full-vertex"),
+], ids=["star6-k1", "star7-k1", "star8-k1", "p2-p2", "p3-p3", "c4"])
+def test_static_rules_match_reference(g, rule):
+    # Small graphs on which each static rule refutes k = 3: the reference
+    # verdict, in 0 nodes.
+    assert STATIC_RULES[rule](_SearchTables(g), 3)
+    assert lc.find_locating_coloring(g, 3) == SearchResult(INFEASIBLE, None, 0)
+    assert_same_search(g, 3)
+
+
+def assert_static_premises(g, coloring):
+    # The static rules' premises, checked on a locating coloring: a vertex
+    # with q(v) >= k sees all k colors in N[v], no two such vertices share
+    # a color, and the pairs of one pendant-pair group have distinct
+    # (color of l, color of p).
+    assert lc.verify(g, coloring).locating
+    k, colors = coloring.k, coloring.colors
+    q = _clique_sizes(g, lc.twin_classes(g))
+    assert max(q) <= k, (g, coloring)
+    full = [v for v in range(g.n) if q[v] >= k]
+    for v in full:
+        assert len({colors[v], *(colors[w] for w in g.adjacency[v])}) == k
+    assert len({colors[v] for v in full}) == len(full), (g, coloring, full)
+    for group in _pendant_groups(g):
+        pairs = [(colors[l], colors[p]) for l, p in group]
+        assert len(set(pairs)) == len(pairs), (g, coloring, group)
+
+
+@st.composite
+def certified_graphs(draw):
+    # A graph with a locating coloring from chi_L or from a shipped
+    # construction.
+    source = draw(st.sampled_from(["chi_L", "star", "empty", "theorem2"]))
+    if source == "chi_L":
+        g = draw(pendant_graphs(max_core=4, max_pendants=5).filter(lambda g: g.n >= 2))
+        return g, lc.chi_L(g).certificate
+    if source == "star":
+        n = draw(st.integers(min_value=4, max_value=60))
+        g = corona_of(lc.generate("star", n), lc.generate("empty", 1))
+        return g, lc.star_corona_coloring(n).coloring
+    if source == "empty":
+        g = draw(connected_graphs(max_order=4).filter(lambda g: g.n >= 2))
+        k = draw(st.integers(min_value=max(2, g.n - 1), max_value=5))
+        return corona_of(g, lc.generate("empty", k)), lc.empty_corona_coloring(g, k).coloring
+    fixture = lc.fixture_theorem2()
+    return fixture.graph, fixture.result.coloring
+
+
+@settings(deadline=None, max_examples=100)
+@given(certified_graphs())
+def test_static_premises_on_certificates(certified):
+    assert_static_premises(*certified)
 
 
 def test_search_depth_beyond_recursion_limit():

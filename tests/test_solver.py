@@ -105,6 +105,20 @@ class TestSearchTables:
         assert searched == [(3, INFEASIBLE), (4, INFEASIBLE), (5, FOUND)]
         assert built == [g]
 
+    def test_chi_l_builds_twin_classes_once(self, monkeypatch):
+        # The lower bound reads the twin classes from the search tables.
+        built, twins = [], lc.locating.twin_classes
+
+        def counting_twins(g):
+            built.append(g)
+            return twins(g)
+
+        monkeypatch.setattr(lc.locating, "twin_classes", counting_twins)
+        lc.locating._search_tables.cache_clear()
+        g = corona(lc.generate("path", 3), lc.generate("path", 3))
+        assert lc.chi_L.__wrapped__(g).value == 5
+        assert built == [g]
+
     def test_interleaved_searches_equal_fresh_ones(self):
         a = corona(lc.generate("star", 4), lc.generate("empty", 1))
         b = corona_p2_p2()
@@ -128,6 +142,20 @@ class TestSearchTables:
         with pytest.raises(SizeLimitError, match="order 6 exceeds the search limit 5"):
             lc.find_locating_coloring(g, 3)
         assert lc.locating._search_tables.cache_info().hits == hits + 1
+
+    def test_static_rules_need_no_quadratic_table(self, monkeypatch):
+        # star_5000 (.) K1 has 10,000 vertices, above the search limit. Its
+        # 4,999 pendant pairs on the center refute every k with
+        # (k - 1)^2 < 4,999, that is k <= 71, from O(n + m) tables.
+        def quadratic(g):
+            raise AssertionError("the O(n^2) tables were built")
+
+        monkeypatch.setattr(lc.locating, "all_pairs_distances", quadratic)
+        g = corona(lc.generate("star", 5_000), lc.generate("empty", 1))
+        for k in (3, 71):
+            assert lc.find_locating_coloring(g, k) == SearchResult(INFEASIBLE, None, 0)
+        with pytest.raises(SizeLimitError, match="order 10000 exceeds"):
+            lc.find_locating_coloring(g, 72)
 
     @pytest.mark.parametrize("n", [3, 4, 1500])
     def test_two_colors_refuted_without_search(self, n):
