@@ -248,8 +248,8 @@ def empty_corona_coloring(g: Graph, k: int) -> ConstructionResult:
 
 def star_corona_chi_L(n: int) -> int:
     """Closed form ceil(sqrt(n)) + 1 for the star-with-pendants product."""
-    if n < 4:
-        raise InputError("star construction requires n >= 4")
+    if type(n) is not int or n < 4:
+        raise InputError(f"star construction requires an integer n >= 4, got {n!r}")
     return math.isqrt(n - 1) + 2
 
 
@@ -279,8 +279,8 @@ def tree_empty_corona_bounds(
     t: Graph, m: int, budget: int = DEFAULT_BUDGET
 ) -> BoundsReport:
     """Bounds m+1 <= value <= chi_L(T) + m for a tree with edgeless copies."""
-    if m < 1:
-        raise InputError("m must be >= 1")
+    if type(m) is not int or m < 1:
+        raise InputError(f"m must be >= 1 and an int, not a bool, got {m!r}")
     _require_tree(t)
     result = chi_L(t, budget)
     lower = m + 1

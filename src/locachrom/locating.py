@@ -10,6 +10,7 @@ least k admitting a locating k-coloring.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .graphs import (
@@ -209,31 +210,11 @@ def twin_classes(g: Graph) -> list:
 
 
 def locating_lower_bound(g: Graph) -> tuple:
-    """Best known lower bound with the tag of the binding rule.
-
-    Rules: the trivial bound 2; the largest twin class, plus one when
-    some outside vertex is adjacent to the whole class. The endpoints on
-    a vertex are such a class, so this covers the endpoint corollary.
-
-    In a connected graph every twin class C of two or more vertices short
-    of all of V has such a vertex: non-adjacent twins share N(v), and each
-    of its members lies outside C and sees all of C; adjacent twins share
-    N[v], which is C only when C is a component, that is V. So the bound
-    of C is len(C) + (len(C) < n), with no scan of the neighbourhoods.
-    """
+    """The tagged static bound :attr:`_SearchTables.lower` of g."""
     _require_connected(g)
     if g.n < 2:
         raise InputError("lower bound requires order >= 2")
-
-    best, tag = 2, "trivial-order"
-    for cls in _search_tables(g).twins:  # shared with the searches of g
-        if len(cls) < 2:
-            continue
-        bound = len(cls) + (len(cls) < g.n)
-        if bound > best:
-            best, tag = bound, "twin-class"
-
-    return best, tag
+    return _search_tables(g).lower
 
 
 def _settled_pairs(order: list, rows: list) -> list:
@@ -374,12 +355,8 @@ def _color_floors(g: Graph, order: list, pos: dict, twins: list) -> tuple:
 
 
 def _clique_sizes(g: Graph, twins: list) -> list:
-    """Per vertex v, the size q(v) of a clique of G+ inside N[v].
-
-    G+ is G plus an edge between any two twins, so a clique of G+ needs
-    distinct colors in every locating coloring. If q(v) >= k, N[v] thus
-    holds all k colors, and v's code is 0 at its own color and 1
-    elsewhere.
+    """Per vertex v, the size q(v) of a clique of G+ inside N[v], where
+    G+ is G plus an edge between any two twins.
 
     The clique grows greedily from v over N(v) in its fixed order,
     keeping the candidates adjacent in G+ to all of it. Adding a twin of
@@ -417,12 +394,8 @@ def _clique_sizes(g: Graph, twins: list) -> list:
 def _pendant_groups(g: Graph) -> list:
     """Pendant pairs (l, p), grouped by N(l) - p.
 
-    p is a leaf and l, of degree >= 2, has no other leaf neighbor. In one
-    group, l and l' are equidistant from every vertex outside their two
-    pairs, since each path from l leaves through N(l) - p. So if l, l'
-    had one color and p, p' had one color, l and l' would have one code.
-    Every l of a group avoids the colors of the common N(l) - p, and p
-    avoids l's color, so a group of more than (k - 1)^2 pairs refutes k.
+    p is a leaf and l, of degree >= 2, has no other leaf neighbor.
+    O(n + m).
     """
     adj = g.adjacency
     leaves = {}  # a vertex -> its leaf neighbors
@@ -441,8 +414,7 @@ class _SearchTables:
     """The part of a search that does not depend on k, for one graph.
 
     ``twins`` is built at once, in O(n + m). The rest is built on first
-    use: ``cliques`` and ``pendant_group`` feed the static refutations,
-    in O(n + m) memory, and ``tables`` holds the O(n^2) part.
+    use: ``lower`` in O(n + m) memory, and ``tables``, the O(n^2) part.
     Per depth, ``tables`` has the distance row; the vertex with its
     earlier neighbors, the colored part of N[v] once v is colored; the
     color floors with their flags, and the pairs that settle there.
@@ -453,14 +425,58 @@ class _SearchTables:
         self.twins = twin_classes(g)
 
     @functools.cached_property
-    def cliques(self) -> list:
-        """:func:`_clique_sizes`, descending."""
-        return sorted(_clique_sizes(self.g, self.twins), reverse=True)
+    def lower(self) -> tuple:
+        """``(k, tag)``: the least k that no static rule refutes, and the
+        first rule, in the order below, that refutes k - 1.
 
-    @functools.cached_property
-    def pendant_group(self) -> int:
-        """The size of the largest of :func:`_pendant_groups` (0 if none)."""
-        return max(map(len, _pendant_groups(self.g)), default=0)
+        Each rule refutes every k below its own threshold, so the rules
+        together refute exactly the k below the largest threshold:
+
+        - *trivial-order*, min(n, 2): one color gives every vertex the
+          code (0).
+        - *twin-class*, |C| + (|C| < n) for the largest twin class C.
+          Twins with one color have one code, so C needs |C| colors. When
+          |C| < n, some w outside C is adjacent to all of C: non-adjacent
+          twins share N(v), and adjacent twins share N[v], which is C
+          only when C is a component, that is V. With k = |C|, C holds
+          every color, so w has the color of a neighbor.
+        - *two-colors*, 3 when n >= 3: in a connected proper 2-coloring
+          every vertex has a neighbor of the other color, so only the
+          codes (0, 1) and (1, 0) exist (Chartrand, Erwin, Henning,
+          Slater & Zhang, 2002).
+        - *clique*, the largest q(v) of :func:`_clique_sizes`: a clique
+          of G+ needs distinct colors, as its G-edges are proper and its
+          twins differ.
+        - *pendant-pair*, ceil(sqrt(P)) + 1 for the largest group of P
+          pairs (l, p) in :func:`_pendant_groups`. The l of one group are
+          equidistant from everything outside their pairs, since every
+          path from l leaves through the common N(l) - p; so the pairs
+          need distinct (color of l, color of p). l avoids the colors of
+          N(l) - p and p avoids l's, so k colors give at most (k - 1)^2
+          such color pairs: P > (k - 1)^2 refutes k.
+        - *full-vertex*, stepped up from there while more than k vertices
+          have q(v) >= k. Such a v sees all k colors in N[v], so its code
+          is 0 at its own color and 1 elsewhere, and two of them of one
+          color collide. The count only grows as k falls, so the rule
+          refutes every smaller k too.
+
+        O(n + m) memory; the steps start at the largest threshold, not 1.
+        """
+        g, n = self.g, self.g.n
+        q = sorted(_clique_sizes(g, self.twins), reverse=True)
+        c = max(map(len, self.twins))
+        pendants = max(map(len, _pendant_groups(g)), default=0)
+        k, tag = max(  # the first of the largest
+            (min(n, 2), "trivial-order"),
+            (c + (c < n), "twin-class"),
+            (3 if n >= 3 else 0, "two-colors"),
+            (q[0], "clique"),
+            (math.isqrt(pendants - 1) + 2 if pendants else 0, "pendant-pair"),
+            key=lambda rule: rule[0],
+        )
+        while k < n and q[k] >= k:  # q[k] >= k: more than k have q >= k
+            k, tag = k + 1, "full-vertex"
+        return k, tag
 
     @functools.cached_property
     def tables(self) -> tuple:
@@ -523,30 +539,16 @@ def find_locating_coloring(
     sequence larger: c* <= N(c* o s) <= c* o s, which is every floor's
     condition.
 
-    Five rules refute k in 0 nodes, with no O(n^2) table:
-
-    - k = 2 when n >= 3: in a connected proper 2-coloring every vertex
-      has a neighbor of the other color, so only the codes (0, 1) and
-      (1, 0) exist;
-    - k below the size of a twin class, whose members need distinct
-      colors;
-    - k below some q(v) of :func:`_clique_sizes`, a clique of G plus its
-      twin pairs inside N[v], which needs q(v) colors;
-    - k with more than k vertices of q(v) >= k: each such v sees all k
-      colors in N[v], so its code is 0 at its color and 1 elsewhere, and
-      two of them of one color would collide;
-    - k with more than (k - 1)^2 pendant pairs in one of
-      :func:`_pendant_groups`, whose pairs need distinct color pairs.
-
-    The clique and pendant tables are O(n + m). Everything that does not
-    depend on k is built once per graph (:class:`_SearchTables`) and kept
-    for the last graph searched, so ``chi_L``'s searches at successive k
-    share one build. The rules only refute k that have no locating
-    coloring, so they change no verdict or certificate.
+    A k below the static bound :attr:`_SearchTables.lower` is refuted in
+    0 nodes, with no O(n^2) table. Everything that does not depend on k
+    is built once per graph (:class:`_SearchTables`) and kept for the last
+    graph searched, so ``chi_L``'s bound and its searches at successive k
+    share one build. The bound only refutes k that have no locating
+    coloring, so it changes no verdict or certificate.
 
     A non-``int`` k, or a budget that is not a positive ``int``, raises
-    :class:`InputError`; above :data:`MAX_SEARCH_ORDER` vertices, a k that
-    those rules do not refute raises :class:`SizeLimitError`, even when
+    :class:`InputError`; above :data:`MAX_SEARCH_ORDER` vertices, a k at
+    or above the static bound raises :class:`SizeLimitError`, even when
     the graph's tables are already built.
     """
     _require_connected(g)
@@ -557,15 +559,8 @@ def find_locating_coloring(
         raise InputError(f"need 1 <= k <= {g.n}, got {k}")
 
     n = g.n
-    if k == 2 < n:
-        return SearchResult(INFEASIBLE, None, 0)
     setup = _search_tables(g)
-    if (
-        any(len(cls) > k for cls in setup.twins)
-        or setup.cliques[0] > k
-        or k < n and setup.cliques[k] >= k  # more than k full vertices
-        or setup.pendant_group > (k - 1) ** 2
-    ):
+    if k < setup.lower[0]:
         return SearchResult(INFEASIBLE, None, 0)
     if n > MAX_SEARCH_ORDER:
         raise SizeLimitError(f"order {n} exceeds the search limit {MAX_SEARCH_ORDER}")

@@ -250,6 +250,12 @@ class TestStarCorona:
         with pytest.raises(lc.InputError):
             lc.star_corona_coloring(3)
 
+    @pytest.mark.parametrize("build", [lc.star_corona_chi_L, lc.star_corona_coloring])
+    @pytest.mark.parametrize("n", [4.0, "4"])
+    def test_non_integer_order_rejected(self, build, n):
+        with pytest.raises(lc.InputError, match="an integer n >= 4"):
+            build(n)
+
 
 class TestLayoutReliance:
     """The constructions color the product by the layout :func:`lc.corona`
@@ -310,6 +316,12 @@ class TestTreeEmptyCoronaBounds:
     def test_m_below_one_rejected(self):
         with pytest.raises(lc.InputError, match="m must be >= 1"):
             lc.tree_empty_corona_bounds(lc.generate("path", 3), 0)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, True, "2"])
+    def test_non_integer_m_rejected(self, m):
+        # 1.5 once gave the bounds [2.5, 4.5], and True the lower end 2.
+        with pytest.raises(lc.InputError, match="an int, not a bool"):
+            lc.tree_empty_corona_bounds(lc.generate("path", 3), m)
 
 
 class TestPendantTreeClassifier:

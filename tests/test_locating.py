@@ -119,9 +119,10 @@ class TestLowerBound:
             lc.locating_lower_bound(lc.generate("path", 1))
 
     def test_twin_class_with_common_neighbor(self):
-        # Wheel on 5 vertices: opposite rim pairs are twins, the hub sees both.
+        # Wheel on 5 vertices: opposite rim pairs are twins, the hub sees
+        # both. So G plus its twin pairs is K5, inside the hub's N[v].
         w4 = lc.join_with_k1(lc.generate("cycle", 4))
-        assert lc.locating_lower_bound(w4) == (3, "twin-class")
+        assert lc.locating_lower_bound(w4) == (5, "clique")
 
 
 class TestPinnedWitnesses:

@@ -1,7 +1,11 @@
 """The paper's 27 corona instances at a 5e4-node budget: every value is
 its reference and re-verifies, every interval contains its reference,
-every star_n (.) K1 is decided by the solver, and the resolved count and
+every star_n (.) K1 is decided by the solver, every ``chi_L`` JSON output
+matches its committed golden, and the resolved count, search count and
 total search nodes are pinned."""
+
+import json
+import pathlib
 
 import locachrom as lc
 from locachrom import locating
@@ -9,6 +13,10 @@ from locachrom import locating
 BUDGET = 50_000
 
 SOLVER = "solver at budget 2e6"
+
+#: The ``chi_L(product, BUDGET).to_json_dict()`` outputs, by label. Search
+#: changes may only turn an interval into a value, never alter a certificate.
+GOLDEN = pathlib.Path(__file__).parent / "data" / "corpus_chil.json"
 
 
 def paper_corpus():
@@ -41,11 +49,13 @@ def test_paper_corpus_at_benchmark_budget(monkeypatch):
     monkeypatch.setattr(locating, "find_locating_coloring", counted)
     resolved = []
     corpus = paper_corpus()
-    assert len(corpus) == 27
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(corpus) == len(golden) == 27
     for label, g, h, reference, source in corpus:
         product, _ = lc.corona(g, h)
         # Uncached, so every search runs and is counted.
         result = locating.chi_L.__wrapped__(product, BUDGET)
+        assert result.to_json_dict() == golden[label], label
         if result.value is None:
             lo, hi = result.lower, result.upper
             assert lo <= reference <= hi, (label, source)
@@ -62,3 +72,6 @@ def test_paper_corpus_at_benchmark_budget(monkeypatch):
     # branch-swap order.
     assert len(resolved) == 27, resolved
     assert sum(nodes) == 112_450 <= 204_264 <= 204_321 <= 273_929 <= 600_301
+    # 75 searches before chi_L started at the bound of all five static
+    # rules, where it had started at the twin-class bound.
+    assert len(nodes) == 32 <= 75

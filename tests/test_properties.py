@@ -171,30 +171,75 @@ def test_lower_bound_covers_endpoint_corollary_exhaustively():
         assert lc.locating_lower_bound(g)[0] >= endpoint_corollary(g)
 
 
-def twin_rule_by_scan(g):
-    # Reference twin rule: scan every outside vertex's neighbourhood for
-    # one adjacent to the whole class.
-    best, tag = 2, "trivial-order"
-    for cls in lc.twin_classes(g):
-        if len(cls) < 2:
-            continue
-        members = set(cls)
-        bound = len(cls) + any(
-            members <= set(g.adjacency[v]) for v in range(g.n) if v not in members
-        )
-        if bound > best:
-            best, tag = bound, "twin-class"
-    return best, tag
+def lower_bound_by_scan(g):
+    # Reference bound: every rule applied to each k in turn, from k = 1,
+    # with twins, G+, q(v) and the pendant groups all rebuilt by scans.
+    n = g.n
+    nbrs = [set() for _ in range(n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    dist = lc.all_pairs_distances(g)
+    twin = [
+        {v for v in range(n) if v != u
+         and all(dist[u][w] == dist[v][w] for w in range(n) if w not in (u, v))}
+        for u in range(n)
+    ]
+    plus = [nbrs[v] | twin[v] for v in range(n)]  # G+: G plus its twin pairs
+    q = []
+    for v in range(n):
+        clique = [v]
+        for w in sorted(nbrs[v]):
+            if all(x in plus[w] for x in clique):
+                clique.append(w)
+        q.append(len(clique))
+    groups = {}
+    for l in range(n):
+        leaves = [p for p in nbrs[l] if len(nbrs[p]) == 1]
+        if len(leaves) == 1 and len(nbrs[l]) >= 2:
+            key = frozenset(nbrs[l] - set(leaves))
+            groups[key] = groups.get(key, 0) + 1
+    pendants = max(groups.values(), default=0)
+
+    def twin_class_refutes(k):
+        for u in range(n):
+            cls = twin[u] | {u}
+            outside_sees_all = any(
+                cls <= nbrs[w] for w in range(n) if w not in cls
+            )
+            if k < len(cls) or k == len(cls) and outside_sees_all:
+                return True
+        return False
+
+    rules = [
+        ("trivial-order", lambda k: k == 1 and n >= 2),
+        ("twin-class", twin_class_refutes),
+        ("two-colors", lambda k: k <= 2 and n >= 3),
+        ("clique", lambda k: k < max(q)),
+        ("pendant-pair", lambda k: pendants > (k - 1) ** 2),
+        ("full-vertex", lambda k: sum(x >= k for x in q) > k),
+    ]
+    k = 1
+    while any(refutes(k) for _, refutes in rules):
+        k += 1
+    return k, next(tag for tag, refutes in rules if refutes(k - 1))
+
+
+@settings(deadline=None)
+@given(graphs(min_order=2, max_order=12, connected=True))
+def test_lower_bound_matches_scan(g):
+    assert lc.locating_lower_bound(g) == lower_bound_by_scan(g)
+
+
+def test_lower_bound_matches_scan_exhaustively():
+    for g in atlas_connected(6):
+        assert lc.locating_lower_bound(g) == lower_bound_by_scan(g)
 
 
 @given(graphs(min_order=2, max_order=12, connected=True))
-def test_lower_bound_matches_twin_scan(g):
-    assert lc.locating_lower_bound(g) == twin_rule_by_scan(g)
-
-
-def test_lower_bound_matches_twin_scan_exhaustively():
-    for g in atlas_connected(6):
-        assert lc.locating_lower_bound(g) == twin_rule_by_scan(g)
+def test_search_refutes_below_lower_bound_in_zero_nodes(g):
+    for k in range(1, lc.locating_lower_bound(g)[0]):
+        assert lc.find_locating_coloring(g, k) == lc.SearchResult(lc.INFEASIBLE, None, 0)
 
 
 @settings(deadline=None)

@@ -1,8 +1,8 @@
 """The search kernel against its recursive predecessor, kept here only as a
 prune-free reference: the kernel's four cuts (twin order, branch-swap
-order, settled pairs and full-code collisions) and its static
-refutations (clique, full vertex, pendant pair) may only remove nodes,
-never change a verdict or the first coloring."""
+order, settled pairs and full-code collisions) and its static lower
+bound may only remove nodes, never change a verdict or the first
+coloring."""
 
 from itertools import combinations
 
@@ -23,7 +23,6 @@ from locachrom.locating import (
     _color_floors,
     _pendant_groups,
     _search_order,
-    _SearchTables,
 )
 
 
@@ -295,27 +294,20 @@ def test_full_code_premise_on_random_certificates(g):
         assert_no_two_full_vertices_share_a_color(g, lc.chi_L(g).certificate)
 
 
-# Whether a static rule refutes k, read off a graph's search tables.
-STATIC_RULES = {
-    "clique": lambda tables, k: tables.cliques[0] > k,
-    "full-vertex": lambda tables, k: tables.cliques[k] >= k,
-    "pendant-pair": lambda tables, k: tables.pendant_group > (k - 1) ** 2,
-}
-
-
-@pytest.mark.parametrize("g,rule", [
-    *((corona_of(lc.generate("star", n), lc.generate("empty", 1)), "pendant-pair")
+@pytest.mark.parametrize("g,bound", [
+    *((corona_of(lc.generate("star", n), lc.generate("empty", 1)), (4, "pendant-pair"))
       for n in (6, 7, 8)),
-    (corona_of(lc.generate("path", 2), lc.generate("path", 2)), "full-vertex"),
-    (corona_of(lc.generate("path", 3), lc.generate("path", 3)), "clique"),
-    (lc.generate("cycle", 4), "full-vertex"),
+    (corona_of(lc.generate("path", 2), lc.generate("path", 2)), (4, "full-vertex")),
+    (corona_of(lc.generate("path", 3), lc.generate("path", 3)), (4, "clique")),
+    (lc.generate("cycle", 4), (4, "full-vertex")),
 ], ids=["star6-k1", "star7-k1", "star8-k1", "p2-p2", "p3-p3", "c4"])
-def test_static_rules_match_reference(g, rule):
-    # Small graphs on which each static rule refutes k = 3: the reference
-    # verdict, in 0 nodes.
-    assert STATIC_RULES[rule](_SearchTables(g), 3)
-    assert lc.find_locating_coloring(g, 3) == SearchResult(INFEASIBLE, None, 0)
-    assert_same_search(g, 3)
+def test_static_rules_match_reference(g, bound):
+    # Small graphs on which each static rule binds the lower bound: the
+    # reference verdict one below it, in 0 nodes.
+    assert lc.locating_lower_bound(g) == bound
+    k = bound[0] - 1
+    assert lc.find_locating_coloring(g, k) == SearchResult(INFEASIBLE, None, 0)
+    assert_same_search(g, k)
 
 
 def assert_static_premises(g, coloring):

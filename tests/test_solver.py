@@ -102,7 +102,7 @@ class TestSearchTables:
         lc.locating._search_tables.cache_clear()
         g = corona(lc.generate("path", 3), lc.generate("path", 3))
         assert lc.chi_L.__wrapped__(g).value == 5
-        assert searched == [(3, INFEASIBLE), (4, INFEASIBLE), (5, FOUND)]
+        assert searched == [(4, INFEASIBLE), (5, FOUND)]
         assert built == [g]
 
     def test_chi_l_builds_twin_classes_once(self, monkeypatch):
