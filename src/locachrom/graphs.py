@@ -305,12 +305,12 @@ def all_pairs_distances(g: Graph) -> list:
 
 def subgraph_isomorphic(pattern: Graph, host: Graph) -> bool:
     """True iff host contains a (not necessarily induced) copy of pattern."""
+    if pattern.n > host.n or pattern.num_edges > host.num_edges:
+        return False
     if pattern.n > SUBGRAPH_PATTERN_LIMIT:
         raise SizeLimitError(
             f"pattern has {pattern.n} vertices, limit is {SUBGRAPH_PATTERN_LIMIT}"
         )
-    if pattern.n > host.n or pattern.num_edges > host.num_edges:
-        return False
 
     # Order pattern vertices so each one (after the first of its component)
     # has a previously placed neighbor; anchors the backtracking early.

@@ -313,13 +313,14 @@ def _branch_swaps(g: Graph, pos: dict) -> list:
 
 
 def _color_floors(g: Graph, order: list, pos: dict, twins: list) -> tuple:
-    """Per depth, the floors under its first color, and their flag list.
+    """Per depth, the floors under its first color, and their flag count.
 
     A floor ``(x, strict, slot, link, px, py)`` at the depth of y raises
     y's first color to ``assignment[x] + strict`` while ``flags[link]`` is
     set and px, py have one color; it stores that condition in
-    ``flags[slot]``. ``flags[0]`` is always set and vertex n always has
-    color 0, so ``(x, s, 0, 0, n, n)`` holds unconditionally.
+    ``flags[slot]``. The search keeps one flag per slot, all set at first.
+    ``flags[0]`` is never written and vertex n always has color 0, so
+    ``(x, s, 0, 0, n, n)`` holds unconditionally.
 
     Each floor is one step of the lex-leader order c <=_lex c o s in
     search order, for an automorphism s:
@@ -334,7 +335,7 @@ def _color_floors(g: Graph, order: list, pos: dict, twins: list) -> tuple:
       yet be known.
     """
     n = len(order)
-    floors, flags = [[] for _ in order], [True]
+    floors, slots = [[] for _ in order], 1
     for cls in twins:
         if len(cls) < 2:
             continue
@@ -347,11 +348,10 @@ def _color_floors(g: Graph, order: list, pos: dict, twins: list) -> tuple:
         for a, b in ends:
             if b < last:
                 break
-            x, y, slot = order[a], order[b], len(flags)
-            floors[b].append((x, 0, slot, link, px, py))
-            flags.append(True)
-            link, px, py, last = slot, x, y, b
-    return floors, flags
+            x, y = order[a], order[b]
+            floors[b].append((x, 0, slots, link, px, py))
+            link, px, py, last, slots = slots, x, y, b, slots + 1
+    return floors, slots
 
 
 def _clique_sizes(g: Graph, twins: list) -> list:
@@ -415,9 +415,9 @@ class _SearchTables:
 
     ``twins`` is built at once, in O(n + m). The rest is built on first
     use: ``lower`` in O(n + m) memory, and ``tables``, the O(n^2) part.
-    Per depth, ``tables`` has the distance row; the vertex with its
-    earlier neighbors, the colored part of N[v] once v is colored; the
-    color floors with their flags, and the pairs that settle there.
+    Per depth, ``tables`` has the distance row, N[v] with v first, the
+    color floors and the pairs that settle there; and it has the number
+    of flag slots that the floors use.
     """
 
     def __init__(self, g: Graph):
@@ -485,12 +485,9 @@ class _SearchTables:
         order = _search_order(g)
         pos = {v: i for i, v in enumerate(order)}
         rows = [dist[v] for v in order]
-        closed = [
-            [v] + [w for w in g.adjacency[v] if pos[w] < i]
-            for i, v in enumerate(order)
-        ]
-        floors, flags = _color_floors(g, order, pos, self.twins)
-        return order, rows, closed, floors, flags, _settled_pairs(order, rows)
+        closed = [[v, *g.adjacency[v]] for v in order]
+        floors, slots = _color_floors(g, order, pos, self.twins)
+        return order, rows, closed, floors, slots, _settled_pairs(order, rows)
 
 
 # One slot: chi_L searches one graph at k = LB, LB + 1, ..., and its own
@@ -510,26 +507,31 @@ def find_locating_coloring(
     :func:`_color_floors`, which raise a vertex's first color: twins take
     increasing colors in search order, and of two swappable pendant trees
     (:func:`_branch_swaps`) the later one's color pattern is
-    lexicographically no smaller. Each frame computes once its floor and
-    the colors blocked by its earlier neighbors, and a frame too deep to
-    still introduce every missing color is cut. Each color tried, blocked
-    or not, is one node; the search stops at node budget + 1.
+    lexicographically no smaller. Each frame computes once its floor, and
+    a frame too deep to still introduce every missing color is cut. Each
+    color tried, held by a neighbor or not, is one node; the search stops
+    at node budget + 1.
 
     ``near[c]`` holds d(w, C_c) for every w over the vertices colored c so
-    far (n while C_c is empty). Coloring v with c saves ``near[c]`` and
+    far (n + 1 while C_c is empty: above every distance, and above 1 even
+    when n = 1). Coloring v with c saves ``near[c]`` and
     replaces it by its elementwise minimum with v's distance row, O(n);
     undoing restores the saved list. On entering depth t, a pair that
     settles there (:func:`_settled_pairs`) with equal ``near`` columns
     would collide at the leaf, so the frame is cut. The leaf reads the
     codes off the columns of ``near``: an O(nk) check.
 
-    A colored vertex w is *full* when N[w] holds all k colors. Its code is
-    then 0 at its own color and 1 elsewhere for good: class distances only
-    fall, and a 1 turns 0 only by coloring w itself. So two full vertices
-    of one color collide at every leaf below, and the frame is cut. Color
-    c lies in N[w] exactly when ``near[c][w]`` <= 1, so coloring v with c
-    adds c to N[w] for the w in N[v] colored so far whose saved entry is
-    above 1: ``distinct`` counts the colors per vertex and ``full`` the
+    Color c lies in N[w] exactly when ``near[c][w]`` <= 1, and that one
+    test serves three rules. The uncolored v may take c only when
+    ``near[c][v]`` > 1. A colored w is *full* when N[w] holds all k
+    colors: its code is then 0 at its own color and 1 elsewhere for good,
+    as class distances only fall and a 1 turns 0 only by coloring w
+    itself, so two full vertices of one color collide at every leaf
+    below, and the frame is cut. An uncolored w whose N[w] holds all k
+    colors is *dead*, with no color left for it, and the frame is cut too
+    (forward checking: Haralick & Elliott, 1980). Coloring v with c adds
+    c to N[w] for each w in N[v] whose saved entry is above 1:
+    ``distinct`` counts the colors in N[w] for every w and ``full`` the
     full vertices per color, O(deg v) per colored node and undone alike.
 
     No cut can remove the lexicographically smallest locating coloring
@@ -537,7 +539,8 @@ def find_locating_coloring(
     verdicts are those of the search without them. For an automorphism s,
     c* o s is locating too, and first-occurrence renaming N never makes a
     sequence larger: c* <= N(c* o s) <= c* o s, which is every floor's
-    condition.
+    condition. c* is proper, so on its prefixes no uncolored w is dead:
+    the neighbors of w never hold c*(w).
 
     A k below the static bound :attr:`_SearchTables.lower` is refuted in
     0 nodes, with no O(n^2) table. Everything that does not depend on k
@@ -564,19 +567,17 @@ def find_locating_coloring(
         return SearchResult(INFEASIBLE, None, 0)
     if n > MAX_SEARCH_ORDER:
         raise SizeLimitError(f"order {n} exceeds the search limit {MAX_SEARCH_ORDER}")
-    order, rows, closed, floors, flags, settled = setup.tables
-    flags = flags.copy()  # the floors write their conditions here
+    order, rows, closed, floors, slots, settled = setup.tables
+    flags = [True] * slots  # the floors write their conditions here
 
     assignment = [0] * (n + 1)
-    near = [[n] * n for _ in range(k + 1)]  # near[0] is never changed
-    # distinct[w]: the colors in N[w], for w colored; full[c]: the full
-    # vertices of color c. (With n = 1, near's n is not above 1; nothing
-    # is counted, and one vertex cannot collide.)
+    near = [[n + 1] * n for _ in range(k + 1)]  # near[0] is never changed
+    # distinct[w]: the colors in N[w]; full[c]: the full vertices of color c.
     distinct, full = [0] * n, [0] * (k + 1)
     classes = range(1, k + 1)
-    # Per depth: next color, blocked colors, colors used before it, and the
-    # near list its current color replaced.
-    nxt, blocked, used, saved = [0] * n, [None] * n, [0] * (n + 1), [None] * n
+    # Per depth: next color, colors used before it, and the near list its
+    # current color replaced.
+    nxt, used, saved = [0] * n, [0] * (n + 1), [None] * n
     nodes = 0
     i, fresh, clash = 0, True, False
     while i >= 0:
@@ -601,38 +602,38 @@ def find_locating_coloring(
                 flags[slot] = on = flags[link] and assignment[px] == assignment[py]
                 if on and assignment[x] + strict > color:
                     color = assignment[x] + strict
-            blocked[i] = {assignment[w] for w in closed[i]}  # and 0, v's own
         else:
             color = nxt[i]
             old = near[color - 1] = saved[i]
             for w in closed[i]:
                 if old[w] > 1:
-                    if distinct[w] == k:
+                    if distinct[w] == k and assignment[w]:
                         full[assignment[w]] -= 1
                     distinct[w] -= 1
             clash = False
-        top, block = min(k, used[i] + 1), blocked[i]
+        v, top = order[i], min(k, used[i] + 1)
         while color <= top:
             nodes += 1
             if nodes > budget:
                 return SearchResult(BUDGET_EXHAUSTED, None, nodes)
-            if color not in block:
+            if near[color][v] > 1:  # no neighbor of v has the color
                 break
             color += 1
         else:
-            assignment[order[i]] = 0  # uncolored, as ``blocked`` expects
+            assignment[v] = 0  # uncolored, as the counters expect
             i, fresh = i - 1, False
             continue
         saved[i] = old = near[color]
         near[color] = [a if a < b else b for a, b in zip(old, rows[i])]
-        assignment[order[i]] = color
-        distinct[order[i]] = len(block) - 1  # the colors of its earlier neighbors
+        assignment[v] = color
         for w in closed[i]:
             if old[w] > 1:
                 distinct[w] += 1
-                if distinct[w] == k:
-                    full[assignment[w]] += 1
-                    clash = clash or full[assignment[w]] > 1
+                if distinct[w] == k:  # w is full, or dead if uncolored
+                    c = assignment[w]
+                    if c:
+                        full[c] += 1
+                    clash = clash or not c or full[c] > 1
         nxt[i] = color + 1
         used[i + 1] = color if color > used[i] else used[i]
         i, fresh = i + 1, True

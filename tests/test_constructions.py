@@ -334,6 +334,11 @@ class TestPendantTreeClassifier:
     def test_p7(self):
         assert lc.pendant_tree_classifier(lc.generate("path", 7), load_g3()) == 4
 
+    def test_p65_above_pattern_limit(self):
+        # P65 is larger than P6 and g3, so it embeds in neither; the
+        # 64-vertex pattern limit of subgraph containment does not apply.
+        assert lc.pendant_tree_classifier(lc.generate("path", 65), load_g3()) == 4
+
     def test_g3_itself(self):
         g3 = load_g3()
         assert lc.pendant_tree_classifier(g3, g3) == 3

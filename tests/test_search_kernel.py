@@ -1,6 +1,6 @@
 """The search kernel against its recursive predecessor, kept here only as a
 prune-free reference: the kernel's four cuts (twin order, branch-swap
-order, settled pairs and full-code collisions) and its static lower
+order, settled pairs and color presence) and its static lower
 bound may only remove nodes, never change a verdict or the first
 coloring."""
 
@@ -203,28 +203,37 @@ def test_search_matches_reference_on_trees():
 
 
 # (status, nodes) at budget 5e4; the counts of earlier kernels, newest
-# first: before the static clique, full-vertex and pendant-pair rules,
-# before the full-code cut, then before the branch-swap order; and the
-# node count the reference kernel without the symmetry and settled-pair
-# cuts recorded there (50,001 is its exhausted budget). Each count bounds
-# the one before it. The last three instances are left to the search.
+# first: before the color-presence counter over all of N[v], before the
+# static clique, full-vertex and pendant-pair rules, before the full-code
+# cut, then before the branch-swap order; and the node count the reference
+# kernel without the symmetry and settled-pair cuts recorded there (50,001
+# is its exhausted budget). Each count bounds the one before it. Of the
+# infeasible instances, the last four are left to the search.
 @pytest.mark.parametrize("build,k,status,nodes,earlier_nodes,reference_nodes", [
-    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 0, (53, 53, 53), 104),
-    (lambda: lc.fixture_theorem2().graph, 5, FOUND, 4_870, (4_870, 41_626, 41_626), 50_001),
+    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 0, (0, 53, 53, 53), 104),
+    (lambda: lc.fixture_theorem2().graph, 5, FOUND, 4_870,
+     (4_870, 4_870, 41_626, 41_626), 50_001),
     (lambda: corona_of(lc.generate("star", 8), lc.generate("path", 1)),
-     3, INFEASIBLE, 0, (153, 153, 2_208), 49_152),
+     3, INFEASIBLE, 0, (0, 153, 153, 2_208), 49_152),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     3, INFEASIBLE, 0, (65, 100, 100), 2_256),
+     3, INFEASIBLE, 0, (0, 65, 100, 100), 2_256),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     4, FOUND, 491, (491, 624, 624), 13_523),
+     4, FOUND, 491, (491, 491, 624, 624), 13_523),
     (lambda: corona_of(lc.generate("path", 3), lc.generate("path", 4)),
-     4, INFEASIBLE, 10_768, (10_768, 32_576, 32_576), 50_001),
+     4, INFEASIBLE, 10_768, (10_768, 10_768, 32_576, 32_576), 50_001),
     (lambda: corona_of(lc.generate("path", 4), lc.generate("path", 3)),
-     4, INFEASIBLE, 5_409, (5_409, 8_262, 8_262), 50_001),
+     4, INFEASIBLE, 5_409, (5_409, 5_409, 8_262, 8_262), 50_001),
     (lambda: corona_of(lc.generate("star", 10), lc.generate("path", 1)),
-     4, INFEASIBLE, 4_429, (4_429, 4_429, 50_001), 50_001),
+     4, INFEASIBLE, 4_429, (4_429, 4_429, 4_429, 50_001), 50_001),
+    # An uncolored vertex whose neighbors hold all three colors is dead.
+    (lambda: lc.make_graph(7, [(0, 3), (0, 5), (0, 6), (1, 2), (1, 5), (1, 6),
+                               (2, 3), (2, 4), (3, 4), (4, 5), (4, 6)]),
+     3, INFEASIBLE, 37, (52, 52, 53, 53), 64),
+    # An empty class reads n + 1 in the search; with n, K1's one color
+    # would read as held by a neighbor, and k = 1 as infeasible.
+    (lambda: lc.generate("empty", 1), 1, FOUND, 1, (1, 1, 1, 1), 1),
 ], ids=["theorem2-k4", "theorem2-k5", "star8-k1-k3", "p5-p2-k3", "p5-p2-k4",
-        "p3-p4-k4", "p4-p3-k4", "star10-k1-k4"])
+        "p3-p4-k4", "p4-p3-k4", "star10-k1-k4", "dead-vertex-k3", "k1-k1"])
 def test_pinned_node_counts(build, k, status, nodes, earlier_nodes, reference_nodes):
     g = build()
     result = lc.find_locating_coloring(g, k, budget=50_000)
@@ -381,8 +390,8 @@ def test_branch_swap_tables_linear_on_long_legs():
     pos = {v: i for i, v in enumerate(order)}
     swaps = _branch_swaps(g, pos)
     assert len(swaps) == 1 and len(swaps[0]) == 1_000
-    floors, flags = _color_floors(g, order, pos, lc.twin_classes(g))
-    assert sum(map(len, floors)) <= 1_000 and len(flags) <= 1_001
+    floors, slots = _color_floors(g, order, pos, lc.twin_classes(g))
+    assert sum(map(len, floors)) <= 1_000 and slots <= 1_001
 
 
 def test_search_with_long_swappable_legs():
