@@ -67,11 +67,7 @@ class ConstructionResult:
     coloring: Coloring
 
     def to_json_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "k": self.coloring.k,
-            "colors": list(self.coloring.colors),
-        }
+        return {"source": self.source, **self.coloring.to_json_dict()}
 
 
 @dataclass(frozen=True)
@@ -329,8 +325,6 @@ def pendant_tree_classifier(t: Graph, g3: Graph) -> int:
     disagreement (typically a wrong g3 file) raises.
     """
     _require_tree(t)
-    # The budget is passed, not defaulted, so these calls share chi_L's
-    # cache entries with the bounds' calls, which always pass one.
     base = chi_L(t, DEFAULT_BUDGET)
     if base.value != 3:
         raise InputError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 #: Sentinel distance for unreachable vertex pairs.
 UNREACHABLE = -1
@@ -81,32 +81,30 @@ class Graph:
         return sorted(self.edges)
 
 
-class SatelliteRef(NamedTuple):
-    """Provenance of one copied vertex in a corona product.
-
-    ``g`` is the center it hangs off, ``t`` the 1-based component index of
-    H, ``h`` the vertex of H it copies, ``idx`` its index in the product.
-    """
-
-    g: int
-    t: int
-    h: int
-    idx: int
-
-
 @dataclass(frozen=True)
 class CoronaMap:
-    """Labeling of corona-product vertices as centers or satellites."""
+    """The layout of G (.) H, fixed by G's order and H's components.
 
-    centers: tuple
-    satellites: tuple
+    ``order`` is |V(G)|; ``components`` holds H's components in the
+    canonical order of :func:`connected_components`. The map itself is
+    read off these two: see :func:`corona`.
+    """
+
+    order: int
+    components: tuple
 
     def to_json_dict(self) -> dict:
+        """Centers, then one record per satellite in product order: ``g``
+        the center it hangs off, ``t`` its 1-based component of H, ``h``
+        the H-vertex it copies, ``idx`` its product vertex."""
+        n, comps = self.order, self.components
+        slots = [(t, v) for t, comp in enumerate(comps, start=1) for v in comp]
         return {
-            "centers": list(self.centers),
+            "centers": list(range(n)),
             "satellites": [
-                {"g": s.g, "t": s.t, "h": s.h, "idx": s.idx}
-                for s in self.satellites
+                {"g": u, "t": t, "h": v, "idx": n + u * len(slots) + p}
+                for u in range(n)
+                for p, (t, v) in enumerate(slots)
             ],
         }
 
@@ -233,7 +231,7 @@ def induced_subgraph(g: Graph, vertices: Iterable) -> Graph:
 
 
 def corona(g: Graph, h: Graph) -> tuple:
-    """Corona product G (.) H with a provenance map.
+    """Corona product G (.) H and its :class:`CoronaMap`.
 
     Vertex numbering: centers 0..n-1 in G's order, then one copy of H per
     center in G-vertex order; inside a copy, vertices follow the canonical
@@ -250,26 +248,17 @@ def corona(g: Graph, h: Graph) -> tuple:
     if size > MAX_SIZE:
         raise SizeLimitError(f"product size {size} exceeds the limit {MAX_SIZE}")
     comps = connected_components(h)
-    copy_order = [v for comp in comps for v in comp]
-    comp_of = {}
-    for t, comp in enumerate(comps, start=1):
-        for v in comp:
-            comp_of[v] = t
+    rank = [0] * h.n  # an H-vertex's position in its copy
+    for p, v in enumerate(v for comp in comps for v in comp):
+        rank[v] = p
+    copy_edges = [_normalize_edge(rank[a], rank[b]) for a, b in h.edges]
 
-    edges = set(g.edges)
-    satellites = []
-    for u in range(g.n):
-        base = g.n + u * h.n
-        pos = {v: base + i for i, v in enumerate(copy_order)}
-        for v in copy_order:
-            edges.add(_normalize_edge(u, pos[v]))
-            satellites.append(SatelliteRef(u, comp_of[v], v, pos[v]))
-        for a, b in h.edges:
-            edges.add(_normalize_edge(pos[a], pos[b]))
-
-    product = Graph(g.n * (1 + h.n), frozenset(edges))
-    cmap = CoronaMap(tuple(range(g.n)), tuple(satellites))
-    return product, cmap
+    # Satellite s hangs off center (s - n) // |H|; the copies start every
+    # |H| from n (an H with edges has |H| >= 2, so the step is never 0).
+    n, m = g.n, h.n
+    edges = [*g.edges, *[((s - n) // m, s) for s in range(n, order)]]
+    edges += [(c + a, c + b) for a, b in copy_edges for c in range(n, order, m)]
+    return Graph(order, frozenset(edges)), CoronaMap(n, tuple(comps))
 
 
 def bfs_distances(g: Graph, sources: Iterable) -> list:

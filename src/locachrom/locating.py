@@ -319,8 +319,8 @@ def _color_floors(g: Graph, order: list, pos: dict, twins: list) -> tuple:
     y's first color to ``assignment[x] + strict`` while ``flags[link]`` is
     set and px, py have one color; it stores that condition in
     ``flags[slot]``. The search keeps one flag per slot, all set at first.
-    ``flags[0]`` is never written and vertex n always has color 0, so
-    ``(x, s, 0, 0, n, n)`` holds unconditionally.
+    Vertex n always has color 0, so ``(x, s, 0, 0, n, n)`` holds
+    unconditionally and only ever writes ``True`` to ``flags[0]``.
 
     Each floor is one step of the lex-leader order c <=_lex c o s in
     search order, for an automorphism s:
@@ -432,18 +432,14 @@ class _SearchTables:
         Each rule refutes every k below its own threshold, so the rules
         together refute exactly the k below the largest threshold:
 
-        - *trivial-order*, min(n, 2): one color gives every vertex the
-          code (0).
         - *twin-class*, |C| + (|C| < n) for the largest twin class C.
           Twins with one color have one code, so C needs |C| colors. When
           |C| < n, some w outside C is adjacent to all of C: non-adjacent
           twins share N(v), and adjacent twins share N[v], which is C
           only when C is a component, that is V. With k = |C|, C holds
-          every color, so w has the color of a neighbor.
-        - *two-colors*, 3 when n >= 3: in a connected proper 2-coloring
-          every vertex has a neighbor of the other color, so only the
-          codes (0, 1) and (1, 0) exist (Chartrand, Erwin, Henning,
-          Slater & Zhang, 2002).
+          every color, so w has the color of a neighbor. The threshold
+          is at least min(n, 2), so one color, which gives every vertex
+          the code (0), is refuted whenever n >= 2.
         - *clique*, the largest q(v) of :func:`_clique_sizes`: a clique
           of G+ needs distinct colors, as its G-edges are proper and its
           twins differ.
@@ -458,7 +454,11 @@ class _SearchTables:
           have q(v) >= k. Such a v sees all k colors in N[v], so its code
           is 0 at its own color and 1 elsewhere, and two of them of one
           color collide. The count only grows as k falls, so the rule
-          refutes every smaller k too.
+          refutes every smaller k too. Every vertex of a connected graph
+          on n >= 2 vertices has q(v) >= 2, so when n >= 3 the step
+          refutes k = 2: a connected proper 2-coloring has only the codes
+          (0, 1) and (1, 0) (Chartrand, Erwin, Henning, Slater & Zhang,
+          2002).
 
         O(n + m) memory; the steps start at the largest threshold, not 1.
         """
@@ -467,9 +467,7 @@ class _SearchTables:
         c = max(map(len, self.twins))
         pendants = max(map(len, _pendant_groups(g)), default=0)
         k, tag = max(  # the first of the largest
-            (min(n, 2), "trivial-order"),
             (c + (c < n), "twin-class"),
-            (3 if n >= 3 else 0, "two-colors"),
             (q[0], "clique"),
             (math.isqrt(pendants - 1) + 2 if pendants else 0, "pendant-pair"),
             key=lambda rule: rule[0],
@@ -575,9 +573,9 @@ def find_locating_coloring(
     # distinct[w]: the colors in N[w]; full[c]: the full vertices of color c.
     distinct, full = [0] * n, [0] * (k + 1)
     classes = range(1, k + 1)
-    # Per depth: next color, colors used before it, and the near list its
-    # current color replaced.
-    nxt, used, saved = [0] * n, [0] * (n + 1), [None] * n
+    # Per depth: the colors used before it, and the near list its current
+    # color replaced.
+    used, saved = [0] * (n + 1), [None] * n
     nodes = 0
     i, fresh, clash = 0, True, False
     while i >= 0:
@@ -603,7 +601,7 @@ def find_locating_coloring(
                 if on and assignment[x] + strict > color:
                     color = assignment[x] + strict
         else:
-            color = nxt[i]
+            color = assignment[order[i]] + 1
             old = near[color - 1] = saved[i]
             for w in closed[i]:
                 if old[w] > 1:
@@ -634,7 +632,6 @@ def find_locating_coloring(
                     if c:
                         full[c] += 1
                     clash = clash or not c or full[c] > 1
-        nxt[i] = color + 1
         used[i + 1] = color if color > used[i] else used[i]
         i, fresh = i + 1, True
     return SearchResult(INFEASIBLE, None, nodes)

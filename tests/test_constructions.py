@@ -180,13 +180,14 @@ class TestTheorem2Fixture:
             data_dir.joinpath("theorem2_graph.txt").read_text()
         ) == fx.graph
         table = json.loads(data_dir.joinpath("theorem2_codes.json").read_text())
-        assert table["map"] == fx.corona_map.to_json_dict()
+        cmap = fx.corona_map.to_json_dict()
+        assert table["map"] == cmap
         centers, copy = "uvw", "abpqrs"
         labels = [""] * fx.graph.n
-        for u, idx in enumerate(fx.corona_map.centers):
+        for u, idx in enumerate(cmap["centers"]):
             labels[idx] = f"({centers[u]})"
-        for sat in fx.corona_map.satellites:
-            labels[sat.idx] = f"({centers[sat.g]},{copy[sat.h]})"
+        for sat in cmap["satellites"]:
+            labels[sat["idx"]] = f"({centers[sat['g']]},{copy[sat['h']]})"
         assert list(fx.labels) == labels
         codes = lc.color_codes(fx.graph, fx.result.coloring)
         assert table["codes"] == {

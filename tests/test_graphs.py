@@ -209,7 +209,8 @@ class TestCorona:
     def test_p2_p2_counts(self):
         prod, cmap = lc.corona(lc.generate("path", 2), lc.generate("path", 2))
         assert prod.n == 6 and prod.num_edges == 7
-        assert len(cmap.centers) == 2 and len(cmap.satellites) == 4
+        data = cmap.to_json_dict()
+        assert len(data["centers"]) == 2 and len(data["satellites"]) == 4
 
     def test_theorem2_order(self):
         h = lc.disjoint_union(lc.generate("path", 2), lc.generate("cycle", 4))
@@ -242,14 +243,15 @@ class TestCorona:
 
     def test_satellites_adjacent_to_center(self):
         prod, cmap = lc.corona(lc.generate("path", 3), lc.generate("cycle", 3))
-        for sat in cmap.satellites:
-            assert prod.has_edge(sat.idx, cmap.centers[sat.g])
+        data = cmap.to_json_dict()
+        for sat in data["satellites"]:
+            assert prod.has_edge(sat["idx"], data["centers"][sat["g"]])
 
     def test_no_edges_between_copies(self):
         prod, cmap = lc.corona(lc.generate("path", 2), lc.generate("path", 2))
         copies = {}
-        for sat in cmap.satellites:
-            copies.setdefault(sat.g, set()).add(sat.idx)
+        for sat in cmap.to_json_dict()["satellites"]:
+            copies.setdefault(sat["g"], set()).add(sat["idx"])
         for a in copies[0]:
             for b in copies[1]:
                 assert not prod.has_edge(a, b)
@@ -277,7 +279,9 @@ class TestDistances:
         h = lc.disjoint_union(lc.generate("path", 2), lc.generate("cycle", 4))
         prod, cmap = lc.corona(lc.generate("path", 3), h)
         d = lc.all_pairs_distances(prod)
-        sat_a = {s.g: s.idx for s in cmap.satellites if s.h == 0}
+        sat_a = {
+            s["g"]: s["idx"] for s in cmap.to_json_dict()["satellites"] if s["h"] == 0
+        }
         assert d[sat_a[0]][sat_a[2]] == 4
 
     def test_disconnected_sentinel(self):

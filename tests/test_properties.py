@@ -32,31 +32,32 @@ def test_corona_counting_formulas(g, h):
     prod, cmap = lc.corona(g, h)
     assert prod.n == g.n * (1 + h.n)
     assert prod.num_edges == g.num_edges + g.n * (h.num_edges + h.n)
-    assert len(cmap.centers) + len(cmap.satellites) == prod.n
+    data = cmap.to_json_dict()
+    assert len(data["centers"]) + len(data["satellites"]) == prod.n
     assert sorted(
-        [*cmap.centers, *(s.idx for s in cmap.satellites)]
+        [*data["centers"], *(s["idx"] for s in data["satellites"])]
     ) == list(range(prod.n))
 
 
 @given(graphs(min_order=1, max_order=5, connected=True), graphs(max_order=4))
 def test_corona_distance_structure(g, h):
-    prod, cmap = lc.corona(g, h)
+    prod, _ = lc.corona(g, h)
     dg = lc.all_pairs_distances(g)
     d = lc.all_pairs_distances(prod)
-    sats = {}
-    for s in cmap.satellites:
-        sats.setdefault(s.g, []).append(s.idx)
+    # The layout: center u is vertex u, its copy of H is sats(u).
+    def sats(u):
+        return range(g.n + u * h.n, g.n + (u + 1) * h.n)
     for u in range(g.n):
         for v in range(g.n):
-            assert d[cmap.centers[u]][cmap.centers[v]] == dg[u][v]
-            for a in sats.get(u, []):
+            assert d[u][v] == dg[u][v]
+            for a in sats(u):
                 if u != v:
-                    assert d[a][cmap.centers[v]] == dg[u][v] + 1
-                    for b in sats.get(v, []):
+                    assert d[a][v] == dg[u][v] + 1
+                    for b in sats(v):
                         assert d[a][b] == dg[u][v] + 2
-        for a in sats.get(u, []):
-            assert d[a][cmap.centers[u]] == 1
-            for b in sats.get(u, []):
+        for a in sats(u):
+            assert d[a][u] == 1
+            for b in sats(u):
                 assert d[a][b] <= 2
 
 
@@ -69,27 +70,29 @@ def relabeled(draw, base):
 
 
 def corona_by_layout(g, h):
-    # The documented layout, written out: centers 0..n-1, then copy u of H
-    # at n + u|H|, its vertices in canonical component order.
+    # The documented layout, written out slot by slot: centers 0..n-1, then
+    # copy u of H at n + u|H|, its vertices in canonical component order.
+    # Returns the product and its map's JSON.
     comps = lc.connected_components(h)
     slots = [(t, v) for t, comp in enumerate(comps, start=1) for v in comp]
     pos = {v: p for p, (_, v) in enumerate(slots)}
     sats = [
-        lc.SatelliteRef(u, t, v, g.n + u * h.n + p)
+        {"g": u, "t": t, "h": v, "idx": g.n + u * h.n + p}
         for u in range(g.n) for p, (t, v) in enumerate(slots)
     ]
-    edges = [*g.edges, *((s.g, s.idx) for s in sats)]
+    edges = [*g.edges, *((s["g"], s["idx"]) for s in sats)]
     for u in range(g.n):
         base = g.n + u * h.n
         edges += [(base + pos[a], base + pos[b]) for a, b in h.edges]
-    cmap = lc.CoronaMap(tuple(range(g.n)), tuple(sats))
+    cmap = {"centers": list(range(g.n)), "satellites": sats}
     return lc.make_graph(g.n * (1 + h.n), edges), cmap
 
 
 @example(lc.generate("path", 2), lc.make_graph(4, [(0, 2), (1, 3)]))
 @given(graphs(max_order=5).filter(lambda g: g.n), relabeled(graphs(max_order=6)))
 def test_corona_follows_documented_layout(g, h):
-    assert lc.corona(g, h) == corona_by_layout(g, h)
+    prod, cmap = lc.corona(g, h)
+    assert (prod, cmap.to_json_dict()) == corona_by_layout(g, h)
 
 
 def corona_upper_by_map(g, h, f, c_list):
@@ -100,12 +103,13 @@ def corona_upper_by_map(g, h, f, c_list):
     for t in range(1, len(c_list)):
         offsets[t] = offsets[t - 1] + c_list[t - 1].k - 1
     product, cmap = lc.corona(g, h)
+    data = cmap.to_json_dict()
     colors = [0] * product.n
-    for u, idx in enumerate(cmap.centers):
+    for u, idx in enumerate(data["centers"]):
         colors[idx] = f.colors[u]
-    for sat in cmap.satellites:
-        t = sat.t - 1
-        colors[sat.idx] = c_list[t].colors[local_index[t][sat.h]] + f.k + offsets[t]
+    for sat in data["satellites"]:
+        t = sat["t"] - 1
+        colors[sat["idx"]] = c_list[t].colors[local_index[t][sat["h"]]] + f.k + offsets[t]
     return Coloring(f.k + sum(c.k - 1 for c in c_list), tuple(colors))
 
 
@@ -212,9 +216,7 @@ def lower_bound_by_scan(g):
         return False
 
     rules = [
-        ("trivial-order", lambda k: k == 1 and n >= 2),
         ("twin-class", twin_class_refutes),
-        ("two-colors", lambda k: k <= 2 and n >= 3),
         ("clique", lambda k: k < max(q)),
         ("pendant-pair", lambda k: pendants > (k - 1) ** 2),
         ("full-vertex", lambda k: sum(x >= k for x in q) > k),
