@@ -243,9 +243,28 @@ def _settled_pairs(order: list, rows: list) -> list:
     return settled
 
 
-def _search_order(g: Graph) -> list:
-    """The vertices by descending degree, ties by index."""
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+def _search_order(g: Graph, groups: list) -> list:
+    """The vertices by descending degree, ties by index, except that in
+    each group of two or more pendant pairs (l, p) of
+    :func:`_pendant_groups`, p comes right after its l.
+
+    Once two pairs of a group are colored, their l settle
+    (:func:`_settled_pairs`), so two pairs with one (color of l, color
+    of p) are cut there: the pendant-pair pigeonhole behind the paper's
+    star bound, seen at the earliest depth where it can bite (fail
+    first: Haralick & Elliott, 1980). In degree order every p comes last,
+    and the cut waited for the last depths. A pair alone in its group is
+    never cut this way, so its p keeps its place.
+    """
+    after = {l: p for group in groups if len(group) > 1 for l, p in group}
+    moved = set(after.values())
+    order = []
+    for v in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
+        if v not in moved:
+            order.append(v)
+            if v in after:
+                order.append(after[v])
+    return order
 
 
 def _branch_swaps(g: Graph, pos: dict) -> list:
@@ -414,7 +433,8 @@ class _SearchTables:
     """The part of a search that does not depend on k, for one graph.
 
     ``twins`` is built at once, in O(n + m). The rest is built on first
-    use: ``lower`` in O(n + m) memory, and ``tables``, the O(n^2) part.
+    use: ``pendant_groups``, ``order`` and ``lower`` in O(n + m) memory,
+    and ``tables``, the O(n^2) part.
     Per depth, ``tables`` has the distance row, N[v] with v first, the
     color floors and the pairs that settle there; and it has the number
     of flag slots that the floors use.
@@ -423,6 +443,14 @@ class _SearchTables:
     def __init__(self, g: Graph):
         self.g = g
         self.twins = twin_classes(g)
+
+    @functools.cached_property
+    def pendant_groups(self) -> list:
+        return _pendant_groups(self.g)
+
+    @functools.cached_property
+    def order(self) -> list:
+        return _search_order(self.g, self.pendant_groups)
 
     @functools.cached_property
     def lower(self) -> tuple:
@@ -465,7 +493,7 @@ class _SearchTables:
         g, n = self.g, self.g.n
         q = sorted(_clique_sizes(g, self.twins), reverse=True)
         c = max(map(len, self.twins))
-        pendants = max(map(len, _pendant_groups(g)), default=0)
+        pendants = max(map(len, self.pendant_groups), default=0)
         k, tag = max(  # the first of the largest
             (c + (c < n), "twin-class"),
             (q[0], "clique"),
@@ -480,7 +508,7 @@ class _SearchTables:
     def tables(self) -> tuple:
         g = self.g
         dist = all_pairs_distances(g)
-        order = _search_order(g)
+        order = self.order
         pos = {v: i for i, v in enumerate(order)}
         rows = [dist[v] for v in order]
         closed = [[v, *g.adjacency[v]] for v in order]
@@ -499,13 +527,13 @@ def find_locating_coloring(
     """Search for a locating coloring using exactly k colors.
 
     Deterministic backtracking on an explicit stack, so its depth is not
-    bounded by Python's recursion limit: vertices in descending-degree
-    order, colors introduced first-occurrence-ordered to break the color
-    permutation symmetry. Graph automorphisms are broken by the floors of
-    :func:`_color_floors`, which raise a vertex's first color: twins take
-    increasing colors in search order, and of two swappable pendant trees
-    (:func:`_branch_swaps`) the later one's color pattern is
-    lexicographically no smaller. Each frame computes once its floor, and
+    bounded by Python's recursion limit: vertices in the order of
+    :func:`_search_order`, colors introduced first-occurrence-ordered to
+    break the color permutation symmetry. Graph automorphisms are broken
+    by the floors of :func:`_color_floors`, which raise a vertex's first
+    color: twins take increasing colors in search order, and of two
+    swappable pendant trees (:func:`_branch_swaps`) the later one's color
+    pattern is lexicographically no smaller. Each frame computes once its floor, and
     a frame too deep to still introduce every missing color is cut. Each
     color tried, held by a neighbor or not, is one node; the search stops
     at node budget + 1.
@@ -677,7 +705,7 @@ def chi_L(g: Graph, budget: int = DEFAULT_BUDGET) -> ChiLResult:
         if result.status == BUDGET_EXHAUSTED:
             return ChiLResult(k, g.n)
     colors = [0] * g.n
-    for i, v in enumerate(_search_order(g)):
+    for i, v in enumerate(_search_tables(g).order):
         colors[v] = i + 1
     return ChiLResult(g.n, g.n, Coloring(g.n, tuple(colors)))
 

@@ -7,6 +7,8 @@ total search nodes are pinned."""
 import json
 import pathlib
 
+import pytest
+
 import locachrom as lc
 from locachrom import locating
 
@@ -14,8 +16,10 @@ BUDGET = 50_000
 
 SOLVER = "solver at budget 2e6"
 
-#: The ``chi_L(product, BUDGET).to_json_dict()`` outputs, by label. Search
-#: changes may only turn an interval into a value, never alter a certificate.
+#: The ``chi_L(product, BUDGET).to_json_dict()`` outputs, by label. A new cut
+#: may only turn an interval into a value, never alter a certificate; a new
+#: search order may alter a certificate, since the certificate is the
+#: lexicographically least locating coloring in that order.
 GOLDEN = pathlib.Path(__file__).parent / "data" / "corpus_chil.json"
 
 
@@ -66,12 +70,23 @@ def test_paper_corpus_at_benchmark_budget(monkeypatch):
         resolved.append(label)
     # The paper's star formula, solver-checked for every n in 4..16.
     assert {f"star{n}(.)K1" for n in range(4, 17)} <= set(resolved), resolved
-    # 204,264 nodes before the clique, full-vertex and pendant-pair rules
-    # refuted k without search, 204,321 before k = 2 was, 26 of 27 in
-    # 273,929 before the full-code cut, and 19 in 600,301 before the
-    # branch-swap order.
+    # 112,450 nodes before each grouped pendant pair's leaf followed its
+    # neighbour in the search order, 204,264 before the clique,
+    # full-vertex and pendant-pair rules refuted k without search, 204,321
+    # before k = 2 was, 26 of 27 in 273,929 before the full-code cut, and
+    # 19 in 600,301 before the branch-swap order.
     assert len(resolved) == 27, resolved
-    assert sum(nodes) == 112_450 <= 204_264 <= 204_321 <= 273_929 <= 600_301
+    assert sum(nodes) == 30_928 <= 112_450 <= 204_264 <= 204_321 <= 273_929 <= 600_301
     # 75 searches before chi_L started at the bound of all five static
     # rules, where it had started at the twin-class bound.
     assert len(nodes) == 32 <= 75
+
+
+@pytest.mark.parametrize("n", [25, 49, 100])
+def test_star_corona_formula_beyond_corpus(n):
+    # ceil(sqrt(n)) + 1, decided by the search at the corpus budget; with
+    # every leaf after every other vertex none of these was decided there.
+    product, _ = lc.corona(lc.generate("star", n), lc.generate("empty", 1))
+    result = locating.chi_L.__wrapped__(product, BUDGET)
+    assert result.value == lc.star_corona_chi_L(n)
+    assert lc.verify(product, result.certificate).locating

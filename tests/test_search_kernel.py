@@ -39,7 +39,7 @@ def reference_find_locating_coloring(g, k, budget):
 
     n = g.n
     dist = lc.all_pairs_distances(g)
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    order = _search_order(g, _pendant_groups(g))
     pos = {v: i for i, v in enumerate(order)}
     earlier_neighbors = [
         [w for w in g.adjacency[v] if pos[w] < pos[v]] for v in range(n)
@@ -164,7 +164,7 @@ def test_search_matches_reference_with_pendant_trees(g):
 @settings(deadline=None, max_examples=200)
 @given(pendant_graphs())
 def test_branch_swaps_are_automorphisms(g):
-    order = _search_order(g)
+    order = _search_order(g, _pendant_groups(g))
     pos = {v: i for i, v in enumerate(order)}
     for swap in _branch_swaps(g, pos):
         sigma = list(range(g.n))
@@ -175,6 +175,42 @@ def test_branch_swaps_are_automorphisms(g):
         assert {frozenset((sigma[a], sigma[b])) for a, b in g.edges} == {
             frozenset(e) for e in g.edges
         }, swap
+
+
+def assert_order_keeps_pendant_pairs(g):
+    # The order re-derived by scan: pairs (l, p) with p a leaf and l of
+    # degree >= 2 with no other leaf neighbor, grouped by N(l) - p.
+    groups = {}
+    for l, nbrs in enumerate(g.adjacency):
+        leaves = [w for w in nbrs if g.degree(w) == 1]
+        if g.degree(l) > 1 and len(leaves) == 1:
+            key = frozenset(nbrs) - {leaves[0]}
+            groups.setdefault(key, []).append((l, leaves[0]))
+    paired = {p: l for group in groups.values() if len(group) > 1
+              for l, p in group}
+    order = _search_order(g, _pendant_groups(g))
+    assert sorted(order) == list(range(g.n)), order
+    stay = [v for v in order if v not in paired]
+    assert stay == sorted(stay, key=lambda v: (-g.degree(v), v)), order
+    pos = {v: i for i, v in enumerate(order)}
+    for p, l in paired.items():
+        assert pos[p] == pos[l] + 1, (order, l, p)
+    # The leaves ahead of a vertex of degree >= 2 are the paired ones.
+    last = max((pos[v] for v in range(g.n) if g.degree(v) > 1), default=-1)
+    moved = {v for v in range(g.n) if g.degree(v) == 1 and pos[v] < last}
+    assert moved <= set(paired), (order, moved)
+
+
+@settings(deadline=None, max_examples=200)
+@given(pendant_graphs())
+def test_search_order_keeps_pendant_pairs(g):
+    assert_order_keeps_pendant_pairs(g)
+
+
+def test_search_order_keeps_pendant_pairs_on_tree_coronas():
+    k1 = lc.generate("empty", 1)
+    for t in all_trees(7):
+        assert_order_keeps_pendant_pairs(corona_of(t, k1))
 
 
 def test_search_matches_reference_exhaustively():
@@ -203,35 +239,36 @@ def test_search_matches_reference_on_trees():
 
 
 # (status, nodes) at budget 5e4; the counts of earlier kernels, newest
-# first: before the color-presence counter over all of N[v], before the
-# static clique, full-vertex and pendant-pair rules, before the full-code
-# cut, then before the branch-swap order; and the node count the reference
-# kernel without the symmetry and settled-pair cuts recorded there (50,001
-# is its exhausted budget). Each count bounds the one before it. Of the
-# infeasible instances, the last four are left to the search.
+# first: before each grouped pendant pair's leaf followed its neighbour in
+# the search order, before the color-presence counter over all of N[v],
+# before the static clique, full-vertex and pendant-pair rules, before the
+# full-code cut, then before the branch-swap order; and the node count the
+# reference kernel without the symmetry and settled-pair cuts recorded
+# there (50,001 is its exhausted budget). Each count bounds the one before
+# it. Of the infeasible instances, the last four are left to the search.
 @pytest.mark.parametrize("build,k,status,nodes,earlier_nodes,reference_nodes", [
-    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 0, (0, 53, 53, 53), 104),
+    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 0, (0, 0, 53, 53, 53), 104),
     (lambda: lc.fixture_theorem2().graph, 5, FOUND, 4_870,
-     (4_870, 4_870, 41_626, 41_626), 50_001),
+     (4_870, 4_870, 4_870, 41_626, 41_626), 50_001),
     (lambda: corona_of(lc.generate("star", 8), lc.generate("path", 1)),
-     3, INFEASIBLE, 0, (0, 153, 153, 2_208), 49_152),
+     3, INFEASIBLE, 0, (0, 0, 153, 153, 2_208), 49_152),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     3, INFEASIBLE, 0, (0, 65, 100, 100), 2_256),
+     3, INFEASIBLE, 0, (0, 0, 65, 100, 100), 2_256),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     4, FOUND, 491, (491, 491, 624, 624), 13_523),
+     4, FOUND, 491, (491, 491, 491, 624, 624), 13_523),
     (lambda: corona_of(lc.generate("path", 3), lc.generate("path", 4)),
-     4, INFEASIBLE, 10_768, (10_768, 10_768, 32_576, 32_576), 50_001),
+     4, INFEASIBLE, 10_768, (10_768, 10_768, 10_768, 32_576, 32_576), 50_001),
     (lambda: corona_of(lc.generate("path", 4), lc.generate("path", 3)),
-     4, INFEASIBLE, 5_409, (5_409, 5_409, 8_262, 8_262), 50_001),
+     4, INFEASIBLE, 5_409, (5_409, 5_409, 5_409, 8_262, 8_262), 50_001),
     (lambda: corona_of(lc.generate("star", 10), lc.generate("path", 1)),
-     4, INFEASIBLE, 4_429, (4_429, 4_429, 4_429, 50_001), 50_001),
+     4, INFEASIBLE, 1_321, (4_429, 4_429, 4_429, 4_429, 50_001), 50_001),
     # An uncolored vertex whose neighbors hold all three colors is dead.
     (lambda: lc.make_graph(7, [(0, 3), (0, 5), (0, 6), (1, 2), (1, 5), (1, 6),
                                (2, 3), (2, 4), (3, 4), (4, 5), (4, 6)]),
-     3, INFEASIBLE, 37, (52, 52, 53, 53), 64),
+     3, INFEASIBLE, 37, (37, 52, 52, 53, 53), 64),
     # An empty class reads n + 1 in the search; with n, K1's one color
     # would read as held by a neighbor, and k = 1 as infeasible.
-    (lambda: lc.generate("empty", 1), 1, FOUND, 1, (1, 1, 1, 1), 1),
+    (lambda: lc.generate("empty", 1), 1, FOUND, 1, (1, 1, 1, 1, 1), 1),
 ], ids=["theorem2-k4", "theorem2-k5", "star8-k1-k3", "p5-p2-k3", "p5-p2-k4",
         "p3-p4-k4", "p4-p3-k4", "star10-k1-k4", "dead-vertex-k3", "k1-k1"])
 def test_pinned_node_counts(build, k, status, nodes, earlier_nodes, reference_nodes):
@@ -386,7 +423,7 @@ def test_branch_swap_tables_linear_on_long_legs():
     # recurses nowhere, and it adds one floor per depth, not a table
     # quadratic in the leg length.
     g = spider(2, 1_000)
-    order = _search_order(g)
+    order = _search_order(g, _pendant_groups(g))
     pos = {v: i for i, v in enumerate(order)}
     swaps = _branch_swaps(g, pos)
     assert len(swaps) == 1 and len(swaps[0]) == 1_000
