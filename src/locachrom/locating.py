@@ -31,6 +31,9 @@ BRUTE_FORCE_LIMIT = 8
 #: Largest order for which :func:`find_locating_coloring` builds its O(n^2) tables.
 MAX_SEARCH_ORDER = 2_000
 
+#: Largest leaf block whose involutions :func:`_leaf_block_involutions` searches.
+MAX_SYMMETRY_BLOCK = 5
+
 FOUND = "found"
 INFEASIBLE = "infeasible"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -155,20 +158,17 @@ def color_codes(g: Graph, c: Coloring) -> list:
 def verify(g: Graph, c: Coloring) -> VerificationReport:
     """Check properness and code distinctness; failures carry a witness.
 
-    Costs O(m log m + k(n + m)): sorting the edges for the first
-    monochromatic one, then :func:`color_codes`.
+    Costs O(k(n + m)): one pass over the edges for the least monochromatic
+    one (u, v), u < v, then :func:`color_codes`.
     """
     _require_connected(g)
     _check_coloring_size(g, c)
-    for u, v in g.sorted_edges():
-        if c.colors[u] == c.colors[v]:
-            witness = {
-                "type": "monochromatic-edge",
-                "u": u,
-                "v": v,
-                "color": c.colors[u],
-            }
-            return VerificationReport(False, False, witness)
+    colors = c.colors
+    mono = min((e for e in g.edges if colors[e[0]] == colors[e[1]]), default=None)
+    if mono is not None:
+        u, v = mono
+        witness = {"type": "monochromatic-edge", "u": u, "v": v, "color": colors[u]}
+        return VerificationReport(False, False, witness)
     codes = color_codes(g, c)
     seen = {}
     for v, code in enumerate(codes):
@@ -243,7 +243,7 @@ def _settled_pairs(order: list, rows: list) -> list:
     return settled
 
 
-def _search_order(g: Graph, groups: list) -> list:
+def _search_order(g: Graph, groups: dict) -> list:
     """The vertices by descending degree, ties by index, except that in
     each group of two or more pendant pairs (l, p) of
     :func:`_pendant_groups`, p comes right after its l.
@@ -256,7 +256,7 @@ def _search_order(g: Graph, groups: list) -> list:
     and the cut waited for the last depths. A pair alone in its group is
     never cut this way, so its p keeps its place.
     """
-    after = {l: p for group in groups if len(group) > 1 for l, p in group}
+    after = {l: p for group in groups.values() if len(group) > 1 for l, p in group}
     moved = set(after.values())
     order = []
     for v in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
@@ -331,6 +331,145 @@ def _branch_swaps(g: Graph, pos: dict) -> list:
     return swaps
 
 
+def _leaf_blocks(g: Graph) -> list:
+    """The blocks with exactly one cut vertex c and 5 to
+    :data:`MAX_SYMMETRY_BLOCK` vertices, as (c, the others ascending).
+
+    One iterative Hopcroft-Tarjan pass (1973), O(n + m). A block pops at
+    its top vertex u once its subtree is done, after the blocks below it,
+    so its other cut vertices are known then; u is a cut vertex unless it
+    is the root and pops one block only. A graph on n < 6 vertices has
+    no such block.
+    """
+    n, adj = g.n, g.adjacency
+    if n < 6:
+        return []
+    disc, low, cut = [1] + [0] * (n - 1), [1] * n, [False] * n
+    path, its, stack, leaves, at_root = [0], [], [], [], []
+    v, it, t = 0, iter(adj[0]), 1
+    while True:
+        for w in it:
+            if not disc[w]:
+                t += 1
+                disc[w] = low[w] = t
+                path.append(w)
+                its.append(it)
+                stack.append(w)
+                v, it = w, iter(adj[w])
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            path.pop()
+            if not path:
+                break
+            it, u = its.pop(), path[-1]
+            if low[v] < disc[u]:
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                v = u
+                continue
+            i = len(stack) - 1
+            while stack[i] != v:
+                i -= 1
+            rest = stack[i:]  # the block is u and rest
+            del stack[i:]
+            inner = [x for x in rest if cut[x]]
+            if u:
+                cut[u] = True
+                if not inner and 4 <= len(rest) < MAX_SYMMETRY_BLOCK:
+                    leaves.append((u, sorted(rest)))
+            else:
+                at_root.append((inner, rest))
+            v = u
+    if len(at_root) > 1:
+        leaves += [(0, sorted(rest)) for inner, rest in at_root
+                   if not inner and 4 <= len(rest) < MAX_SYMMETRY_BLOCK]
+    else:
+        [(inner, rest)] = at_root
+        if len(inner) == 1 and 4 <= len(rest) < MAX_SYMMETRY_BLOCK:
+            c = inner[0]
+            leaves.append((c, sorted(x if x != c else 0 for x in rest)))
+    return leaves
+
+
+def _block_involutions(masks: tuple) -> list:
+    """The involutions of a graph on 0..s - 1, given by neighbor bitmasks,
+    that fix 0 and map each twin class onto one in ascending order, bar
+    the identity; each as its pairs (x, image of x), x < image.
+
+    Each twin class goes to itself or to a later free class of its size,
+    degree and adjacency to 0; a partial map that breaks an adjacency is
+    dropped. Any other involution is one of these times twin
+    transpositions.
+    """
+    s = len(masks)
+    classes, seen = [], 0
+    for i in range(1, s):
+        if not seen >> i & 1:
+            cls = [j for j in range(i, s)
+                   if masks[i] & ~(1 << j) == masks[j] & ~(1 << i)]
+            for j in cls:
+                seen |= 1 << j
+            classes.append(cls)
+    kind = [(len(a), masks[a[0]].bit_count(), masks[a[0]] & 1) for a in classes]
+    if len(set(kind)) == len(kind):
+        return []
+    sigma = [0] + [-1] * (s - 1)
+    found = []
+
+    def extend(ci):  # depth < MAX_SYMMETRY_BLOCK
+        while ci < len(classes) and sigma[classes[ci][0]] >= 0:
+            ci += 1
+        if ci == len(classes):
+            pairs = [(x, y) for x, y in enumerate(sigma) if x < y]
+            if pairs:
+                found.append(pairs)
+            return
+        a = classes[ci]
+        for b, kb in zip(classes[ci:], kind[ci:]):
+            if kb != kind[ci] or sigma[b[0]] >= 0:
+                continue
+            for x, y in zip(a, b):
+                sigma[x], sigma[y] = y, x
+            if all(masks[x] >> z & 1 == masks[sigma[x]] >> sigma[z] & 1
+                   for x in (*a, *b) for z in range(s) if sigma[z] >= 0):
+                extend(ci + 1)
+            for x in (*a, *b):
+                sigma[x] = -1
+
+    extend(0)
+    return found
+
+
+def _leaf_block_involutions(g: Graph) -> list:
+    """Automorphisms of g that are involutions of one leaf block of
+    :func:`_leaf_blocks` fixing its cut vertex c, as in
+    :func:`_branch_swaps`.
+
+    No vertex of the block but c has a neighbor outside it, so an
+    automorphism of the block that fixes c extends to g by the identity.
+    Twins of g in the block are twins in the block. Each block shape, as
+    laid out by (c, the others ascending), is searched once per graph: a
+    corona repeats one shape per center.
+    """
+    adj, shapes, swaps = g.adjacency, {}, []
+    for c, rest in _leaf_blocks(g):
+        if len({(len(adj[v]), c in adj[v]) for v in rest}) == len(rest):
+            continue  # no two vertices that an involution fixing c could swap
+        local = [c, *rest]
+        bit = {v: 1 << i for i, v in enumerate(local)}
+        masks = [0]
+        for v in rest:
+            masks.append(sum(map(bit.__getitem__, adj[v])))
+            masks[0] |= (masks[-1] & 1) * bit[v]
+        key = tuple(masks)
+        if key not in shapes:
+            shapes[key] = _block_involutions(key)
+        swaps += [[(local[x], local[y]) for x, y in pairs] for pairs in shapes[key]]
+    return swaps
+
+
 def _color_floors(g: Graph, order: list, pos: dict, twins: list) -> tuple:
     """Per depth, the floors under its first color, and their flag count.
 
@@ -346,8 +485,9 @@ def _color_floors(g: Graph, order: list, pos: dict, twins: list) -> tuple:
 
     - A twin takes a color above its latest earlier twin's (strict, as
       twins differ): s swaps the two.
-    - For a swap of :func:`_branch_swaps`, take its pairs {x, y}, x before
-      y, in the order of x. While every earlier pair has equal colors, y's
+    - For an involution of :func:`_branch_swaps` or
+      :func:`_leaf_block_involutions`, take its pairs {x, y}, x before y,
+      in the order of x. While every earlier pair has equal colors, y's
       color is at least x's. A pair's flag says that the pairs before it
       are equal, so each step checks one pair. The steps stop at the first
       pair decided before the one preceding it, where that flag would not
@@ -361,7 +501,7 @@ def _color_floors(g: Graph, order: list, pos: dict, twins: list) -> tuple:
         members = sorted(cls, key=pos.__getitem__)
         for x, y in zip(members, members[1:]):
             floors[pos[y]].append((x, 1, 0, 0, n, n))
-    for swap in _branch_swaps(g, pos):
+    for swap in (*_branch_swaps(g, pos), *_leaf_block_involutions(g)):
         ends = sorted(sorted((pos[u], pos[v])) for u, v in swap)
         link, px, py, last = 0, n, n, -1
         for a, b in ends:
@@ -383,7 +523,11 @@ def _clique_sizes(g: Graph, twins: list) -> list:
     N+(w) + w is one set for the whole twin class. So each class is
     intersected once, as one set shared by its members, and a star's
     center costs O(n), not O(n^2). Memory is one set per vertex, N(v),
-    and one per twin class: O(n + m).
+    and one per twin class: O(n + m). Two more cliques raise q (see
+    :attr:`_SearchTables.lower`): 1 + |C| for a twin class C inside N(v),
+    and |K| for the greedy clique K of another vertex when v is in K and
+    G-adjacent to the rest of K. They are applied only where they reach
+    the largest q, the one value that the full-vertex step reads.
     """
     adj = g.adjacency
     nbrs = [set(a) for a in adj]
@@ -393,25 +537,39 @@ def _clique_sizes(g: Graph, twins: list) -> list:
             for v in cls:
                 label[v] = len(shared)
             shared.append(frozenset(cls))
-    sizes = []
+    q, tops, top = [], [], 0  # tops: the greedy cliques of the largest size
     for v, around in enumerate(adj):
-        cand, q, seen = nbrs[v], 1, {label[v]}
+        cand, members, seen = nbrs[v], [v], {label[v]}
         for w in around:  # each w once, so w may stay in cand
             if w not in cand:
                 continue
-            q += 1
+            members.append(w)
             t = label[w]
             if not t:
                 cand = cand & nbrs[w]
             elif t not in seen:
                 seen.add(t)
                 cand = (cand & nbrs[w]) | (cand & shared[t])
-        sizes.append(q)
-    return sizes
+        q.append(len(members))
+        if q[v] >= top:
+            if q[v] > top:
+                top, tops = q[v], []
+            tops.append(members)
+    for cls in shared[1:]:
+        if len(cls) + 1 >= top:
+            for w in adj[next(iter(cls))]:  # every w outside C here sees all of C
+                if w not in cls and q[w] <= len(cls):
+                    q[w] = len(cls) + 1
+    if max(q) == top > 2:
+        for members in tops:
+            for x in members:
+                if q[x] < top <= len(adj[x]) + 1 and len(nbrs[x].intersection(members)) == top - 1:
+                    q[x] = top
+    return q
 
 
-def _pendant_groups(g: Graph) -> list:
-    """Pendant pairs (l, p), grouped by N(l) - p.
+def _pendant_groups(g: Graph) -> dict:
+    """Pendant pairs (l, p), keyed by N(l) - p as an ascending tuple.
 
     p is a leaf and l, of degree >= 2, has no other leaf neighbor.
     O(n + m).
@@ -426,7 +584,7 @@ def _pendant_groups(g: Graph) -> list:
         if len(ps) == 1 and len(adj[v]) > 1:
             key = tuple(w for w in adj[v] if w != ps[0])
             groups.setdefault(key, []).append((v, ps[0]))
-    return list(groups.values())
+    return groups
 
 
 class _SearchTables:
@@ -445,7 +603,7 @@ class _SearchTables:
         self.twins = twin_classes(g)
 
     @functools.cached_property
-    def pendant_groups(self) -> list:
+    def pendant_groups(self) -> dict:
         return _pendant_groups(self.g)
 
     @functools.cached_property
@@ -470,14 +628,22 @@ class _SearchTables:
           the code (0), is refuted whenever n >= 2.
         - *clique*, the largest q(v) of :func:`_clique_sizes`: a clique
           of G+ needs distinct colors, as its G-edges are proper and its
-          twins differ.
-        - *pendant-pair*, ceil(sqrt(P)) + 1 for the largest group of P
-          pairs (l, p) in :func:`_pendant_groups`. The l of one group are
-          equidistant from everything outside their pairs, since every
-          path from l leaves through the common N(l) - p; so the pairs
-          need distinct (color of l, color of p). l avoids the colors of
-          N(l) - p and p avoids l's, so k colors give at most (k - 1)^2
-          such color pairs: P > (k - 1)^2 refutes k.
+          twins differ. q(v) is the size of a clique of G+ inside N[v]:
+          the greedy one grown from v; the greedy clique K of another
+          vertex, when v is in K and G-adjacent to the rest of K; or
+          C + v for a twin class C inside N(v), since the twins of C are
+          pairwise adjacent in G+.
+        - *pendant-pair*, ceil(sqrt(P)) + 1 for the largest P, over the
+          groups of :func:`_pendant_groups`, of the group's pairs (l, p)
+          plus the vertices w with N(w) = S, where S = N(l) - p. The l of
+          one group are equidistant from everything outside their pairs,
+          since every path from l leaves through S; so the pairs need
+          distinct (color of l, color of p). l avoids the colors of S and
+          p avoids l's, so k colors give at most (k - 1)^2 such color
+          pairs. Each w takes one more: w and l are equidistant from
+          everything outside l, p and w, and w's color b is not in S, so
+          an l of color b whose p has a color of S has w's code. The w
+          are twins, so their b differ. P > (k - 1)^2 refutes k.
         - *full-vertex*, stepped up from there while more than k vertices
           have q(v) >= k. Such a v sees all k colors in N[v], so its code
           is 0 at its own color and 1 elsewhere, and two of them of one
@@ -490,10 +656,17 @@ class _SearchTables:
 
         O(n + m) memory; the steps start at the largest threshold, not 1.
         """
-        g, n = self.g, self.g.n
+        g, n, adj = self.g, self.g.n, self.g.adjacency
         q = sorted(_clique_sizes(g, self.twins), reverse=True)
         c = max(map(len, self.twins))
-        pendants = max(map(len, self.pendant_groups), default=0)
+        # N(l) - p -> the pairs (l, p) and the w with N(w) = N(l) - p
+        count = {key: len(group) for key, group in self.pendant_groups.items()}
+        if count:
+            degrees = set(map(len, count))
+            for around in adj:
+                if len(around) in degrees and around in count:
+                    count[around] += 1
+        pendants = max(count.values(), default=0)
         k, tag = max(  # the first of the largest
             (c + (c < n), "twin-class"),
             (q[0], "clique"),
@@ -533,7 +706,10 @@ def find_locating_coloring(
     by the floors of :func:`_color_floors`, which raise a vertex's first
     color: twins take increasing colors in search order, and of two
     swappable pendant trees (:func:`_branch_swaps`) the later one's color
-    pattern is lexicographically no smaller. Each frame computes once its floor, and
+    pattern is lexicographically no smaller; so is a leaf block's image
+    under each of its involutions (:func:`_leaf_block_involutions`), which
+    fix the block's cut vertex and so extend to G by the identity, as no
+    other vertex of the block has a neighbor outside it. Each frame computes once its floor, and
     a frame too deep to still introduce every missing color is cut. Each
     color tried, held by a neighbor or not, is one node; the search stops
     at node budget + 1.

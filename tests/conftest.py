@@ -40,6 +40,15 @@ def atlas_connected(max_order: int) -> list:
     ]
 
 
+def atlas_graphs(max_order: int) -> list:
+    """Every graph on 1..max_order vertices, up to isomorphism, connected
+    or not, from networkx's graph atlas: 18 of them up to order 4."""
+    return [
+        from_networkx(G) for G in nx.graph_atlas_g()
+        if 1 <= G.number_of_nodes() <= max_order
+    ]
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> lc.Graph:
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     return lc.make_graph(n, edges)

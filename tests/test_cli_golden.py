@@ -10,7 +10,11 @@ later, before the CLI rendered its human text from the JSON payload.
 Both budget-5 ``chil`` intervals on P4 (.) P3 rose from [3, 16] to
 [4, 16] when the search began to refute k = 3 without a node: the two
 ends of a P3 copy are twins, so with its middle and the center they
-need four colors. The budget now runs out at k = 4.
+need four colors. They rose again to [5, 16] when the greedy clique of
+a P3 copy's middle (the middle, its center and the copy's two ends) was
+credited to the center, which is adjacent to all of it: then the four
+centers and the four middles all see every color at k = 4, and the
+full-vertex step refutes it. The budget now runs out at k = 5.
 """
 
 import sys
@@ -53,11 +57,11 @@ GOLDEN = {
     ),
     'chil-json-budget5-interval': (
         ['--format', 'json', '--budget', '5', 'chil', '@p4p3.graph'],
-        2, '{"interval": [4, 16], "value": null}\n',
+        2, '{"interval": [5, 16], "value": null}\n',
     ),
     'chil-human-budget5-interval': (
         ['--budget', '5', 'chil', '@p4p3.graph'],
-        2, 'indeterminate: chi_L in [4, 16] (budget exhausted)\n',
+        2, 'indeterminate: chi_L in [5, 16] (budget exhausted)\n',
     ),
     'chil-human-certificate': (
         ['chil', '@p2p2.graph'],

@@ -70,16 +70,18 @@ def test_paper_corpus_at_benchmark_budget(monkeypatch):
         resolved.append(label)
     # The paper's star formula, solver-checked for every n in 4..16.
     assert {f"star{n}(.)K1" for n in range(4, 17)} <= set(resolved), resolved
-    # 112,450 nodes before each grouped pendant pair's leaf followed its
-    # neighbour in the search order, 204,264 before the clique,
-    # full-vertex and pendant-pair rules refuted k without search, 204,321
-    # before k = 2 was, 26 of 27 in 273,929 before the full-code cut, and
-    # 19 in 600,301 before the branch-swap order.
+    # 30,928 nodes before the leaf-block involutions and the refined
+    # static bound, 112,450 before each grouped pendant pair's leaf
+    # followed its neighbour in the search order, 204,264 before the
+    # clique, full-vertex and pendant-pair rules refuted k without search,
+    # 204,321 before k = 2 was, 26 of 27 in 273,929 before the full-code
+    # cut, and 19 in 600,301 before the branch-swap order.
     assert len(resolved) == 27, resolved
-    assert sum(nodes) == 30_928 <= 112_450 <= 204_264 <= 204_321 <= 273_929 <= 600_301
-    # 75 searches before chi_L started at the bound of all five static
-    # rules, where it had started at the twin-class bound.
-    assert len(nodes) == 32 <= 75
+    assert sum(nodes) == 11_879 <= 30_928 <= 112_450 <= 204_264 <= 204_321 <= 273_929 <= 600_301
+    # 32 searches before the refined static bound, and 75 before chi_L
+    # started at the bound of all five static rules, where it had started
+    # at the twin-class bound.
+    assert len(nodes) == 28 <= 32 <= 75
 
 
 @pytest.mark.parametrize("n", [25, 49, 100])
@@ -90,3 +92,18 @@ def test_star_corona_formula_beyond_corpus(n):
     result = locating.chi_L.__wrapped__(product, BUDGET)
     assert result.value == lc.star_corona_chi_L(n)
     assert lc.verify(product, result.certificate).locating
+
+
+def test_star_corona_bound_is_the_formula(monkeypatch):
+    # The pendant-pair rule counts the center's own leaf, whose neighbours
+    # are those of every star leaf but its pendant, as one more pair; so
+    # the static bound alone is the paper's value, with no distances built.
+    def refuse(g):
+        raise AssertionError("the static bound built a distance matrix")
+
+    monkeypatch.setattr(locating, "all_pairs_distances", refuse)
+    k1 = lc.generate("empty", 1)
+    for n in range(4, 401):
+        product, _ = lc.corona(lc.generate("star", n), k1)
+        bound = lc.locating_lower_bound(product)
+        assert bound == (lc.star_corona_chi_L(n), "pendant-pair"), n

@@ -190,20 +190,36 @@ def lower_bound_by_scan(g):
         for u in range(n)
     ]
     plus = [nbrs[v] | twin[v] for v in range(n)]  # G+: G plus its twin pairs
-    q = []
+    cliques = []
     for v in range(n):
         clique = [v]
         for w in sorted(nbrs[v]):
             if all(x in plus[w] for x in clique):
                 clique.append(w)
-        q.append(len(clique))
+        cliques.append(clique)
+    q = [len(clique) for clique in cliques]
+    # A member of a greedy clique that is G-adjacent to all the others.
+    for clique in cliques:
+        for x in clique:
+            if all(y in nbrs[x] for y in clique if y != x):
+                q[x] = max(q[x], len(clique))
+    # A twin class inside N(v), with v.
+    for v in range(n):
+        for u in range(n):
+            cls = twin[u] | {u}
+            if cls <= nbrs[v]:
+                q[v] = max(q[v], 1 + len(cls))
     groups = {}
     for l in range(n):
         leaves = [p for p in nbrs[l] if len(nbrs[p]) == 1]
         if len(leaves) == 1 and len(nbrs[l]) >= 2:
             key = frozenset(nbrs[l] - set(leaves))
             groups[key] = groups.get(key, 0) + 1
-    pendants = max(groups.values(), default=0)
+    # Each w with N(w) = N(l) - p counts as one more pair of l's group.
+    pendants = max(
+        (size + sum(nbrs[w] == key for w in range(n)) for key, size in groups.items()),
+        default=0,
+    )
 
     def twin_class_refutes(k):
         for u in range(n):

@@ -1,26 +1,29 @@
 """The search kernel against its recursive predecessor, kept here only as a
-prune-free reference: the kernel's four cuts (twin order, branch-swap
-order, settled pairs and color presence) and its static lower
+prune-free reference: the kernel's cuts (twin order, branch-swap and
+leaf-block order, settled pairs and color presence) and its static lower
 bound may only remove nodes, never change a verdict or the first
 coloring."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import locachrom as lc
-from conftest import all_trees, atlas_connected
+from conftest import all_trees, atlas_connected, atlas_graphs
 from locachrom.locating import (
     BUDGET_EXHAUSTED,
     FOUND,
     INFEASIBLE,
+    MAX_SYMMETRY_BLOCK,
     Coloring,
     SearchResult,
     _branch_swaps,
     _clique_sizes,
     _color_floors,
+    _leaf_block_involutions,
     _pendant_groups,
     _search_order,
 )
@@ -177,6 +180,109 @@ def test_branch_swaps_are_automorphisms(g):
         }, swap
 
 
+# Every connected graph on 1 to 5 vertices, P4, C4 and C5 among them.
+SMALL_CONNECTED = [lc.generate("path", 1), *atlas_connected(5)]
+
+
+@st.composite
+def leaf_block_graphs(draw, max_order=19):
+    # A connected core of order <= 4 with one to three small connected
+    # graphs attached to core vertices, each joined whole to its vertex
+    # or hung from it by an edge to one of its own vertices; at most
+    # max_order vertices in all.
+    core = draw(connected_graphs(max_order=4))
+    edges, n = list(core.edges), core.n
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        fits = [h for h in SMALL_CONNECTED if n + h.n <= max_order]
+        if not fits:
+            break
+        h = draw(st.sampled_from(fits))
+        at = draw(st.integers(min_value=0, max_value=core.n - 1))
+        edges += [(n + a, n + b) for a, b in h.edges]
+        if draw(st.booleans()):
+            edges += [(at, n + v) for v in range(h.n)]
+        else:
+            edges.append((at, n + draw(st.integers(min_value=0, max_value=h.n - 1))))
+        n += h.n
+    return lc.make_graph(n, edges)
+
+
+def leaf_blocks_by_networkx(g):
+    # (cut vertex, block) for every block with exactly one cut vertex.
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    cuts = set(nx.articulation_points(nxg))
+    blocks = [frozenset(b) for b in nx.biconnected_components(nxg)]
+    return [(next(iter(b & cuts)), b) for b in blocks if len(b & cuts) == 1]
+
+
+def block_involutions_by_brute_force(g, c, block):
+    # Every involution of g that fixes all but block - {c}, as a map.
+    rest = sorted(block - {c})
+    edges = {frozenset(e) for e in g.edges}
+    found = []
+    for images in permutations(rest):
+        sigma = dict(zip(rest, images))
+        if any(sigma[sigma[v]] != v for v in rest):
+            continue
+        move = lambda v: sigma.get(v, v)
+        if {frozenset((move(a), move(b))) for a, b in g.edges} == edges:
+            found.append(sigma)
+    return found
+
+
+@settings(deadline=None, max_examples=200)
+@given(leaf_block_graphs())
+# A P4 fan whose end has a leaf: its block has two cut vertices.
+@example(lc.make_graph(7, [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
+                           (3, 4), (4, 5), (2, 6)]))
+# A C5 through the DFS root, with its one cut vertex elsewhere.
+@example(lc.make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (2, 5)]))
+def test_leaf_block_involutions_are_automorphisms(g):
+    # Each emitted involution is an automorphism of g that moves only the
+    # non-cut vertices of one leaf block of 5 to MAX_SYMMETRY_BLOCK
+    # vertices, and moves some pair of non-twins. Every involution of
+    # such a block is an emitted one, up to twins.
+    twin = {v: frozenset(cls) for cls in lc.twin_classes(g) for v in cls}
+    edges = {frozenset(e) for e in g.edges}
+    blocks = [(c, b) for c, b in leaf_blocks_by_networkx(g)
+              if 5 <= len(b) <= MAX_SYMMETRY_BLOCK]
+    emitted = []
+    for swap in _leaf_block_involutions(g):
+        sigma = dict(swap) | {v: u for u, v in swap}
+        assert len(sigma) == 2 * len(swap), swap
+        move = lambda v: sigma.get(v, v)
+        assert {frozenset((move(a), move(b))) for a, b in g.edges} == edges, swap
+        [(c, block)] = [(c, b) for c, b in blocks if set(sigma) <= b]
+        assert c not in sigma, swap
+        assert any(v not in twin[u] for u, v in swap), swap
+        emitted.append(sigma)
+    for c, block in blocks:
+        for sigma in block_involutions_by_brute_force(g, c, block):
+            assert any(
+                all(tau.get(v, v) in twin[image] for v, image in sigma.items())
+                for tau in emitted
+            ) or all(image in twin[v] for v, image in sigma.items()), sigma
+
+
+@settings(deadline=None, max_examples=40)
+@given(leaf_block_graphs(max_order=11))
+def test_search_matches_reference_with_leaf_blocks(g):
+    for k in range(1, g.n + 1):
+        assert_same_search(g, k)
+
+
+def test_search_matches_reference_on_p2_coronas():
+    # P2 (.) H for all 18 H of order <= 4: each connected copy of order 4
+    # with its center is a leaf block of 5.
+    p2 = lc.generate("path", 2)
+    for h in atlas_graphs(4):
+        g = corona_of(p2, h)
+        for k in range(1, g.n + 1):
+            assert_same_search(g, k)
+
+
 def assert_order_keeps_pendant_pairs(g):
     # The order re-derived by scan: pairs (l, p) with p a leaf and l of
     # degree >= 2 with no other leaf neighbor, grouped by N(l) - p.
@@ -239,38 +345,40 @@ def test_search_matches_reference_on_trees():
 
 
 # (status, nodes) at budget 5e4; the counts of earlier kernels, newest
-# first: before each grouped pendant pair's leaf followed its neighbour in
-# the search order, before the color-presence counter over all of N[v],
+# first: before the leaf-block involutions and the refined static bound,
+# before each grouped pendant pair's leaf followed its neighbour in the
+# search order, before the color-presence counter over all of N[v],
 # before the static clique, full-vertex and pendant-pair rules, before the
 # full-code cut, then before the branch-swap order; and the node count the
 # reference kernel without the symmetry and settled-pair cuts recorded
-# there (50,001 is its exhausted budget). Each count bounds the one before
-# it. Of the infeasible instances, the last four are left to the search.
+# there (50,001 is an exhausted budget). Each count bounds the one before
+# it. Of the infeasible instances, the last three are left to the search.
 @pytest.mark.parametrize("build,k,status,nodes,earlier_nodes,reference_nodes", [
-    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 0, (0, 0, 53, 53, 53), 104),
-    (lambda: lc.fixture_theorem2().graph, 5, FOUND, 4_870,
-     (4_870, 4_870, 4_870, 41_626, 41_626), 50_001),
+    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 0, (0, 0, 0, 53, 53, 53), 104),
+    (lambda: lc.fixture_theorem2().graph, 5, FOUND, 2_459,
+     (4_870, 4_870, 4_870, 4_870, 41_626, 41_626), 50_001),
     (lambda: corona_of(lc.generate("star", 8), lc.generate("path", 1)),
-     3, INFEASIBLE, 0, (0, 0, 153, 153, 2_208), 49_152),
+     3, INFEASIBLE, 0, (0, 0, 0, 153, 153, 2_208), 49_152),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     3, INFEASIBLE, 0, (0, 0, 65, 100, 100), 2_256),
+     3, INFEASIBLE, 0, (0, 0, 0, 65, 100, 100), 2_256),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     4, FOUND, 491, (491, 491, 491, 624, 624), 13_523),
+     4, FOUND, 491, (491, 491, 491, 491, 624, 624), 13_523),
     (lambda: corona_of(lc.generate("path", 3), lc.generate("path", 4)),
-     4, INFEASIBLE, 10_768, (10_768, 10_768, 10_768, 32_576, 32_576), 50_001),
-    (lambda: corona_of(lc.generate("path", 4), lc.generate("path", 3)),
-     4, INFEASIBLE, 5_409, (5_409, 5_409, 5_409, 8_262, 8_262), 50_001),
+     4, INFEASIBLE, 1_553, (10_768, 10_768, 10_768, 10_768, 32_576, 32_576), 50_001),
+    # Each P4 copy reversed is an involution of its leaf block.
+    (lambda: corona_of(lc.generate("path", 4), lc.generate("path", 4)),
+     4, INFEASIBLE, 9_250, (50_001,) * 6, 50_001),
     (lambda: corona_of(lc.generate("star", 10), lc.generate("path", 1)),
-     4, INFEASIBLE, 1_321, (4_429, 4_429, 4_429, 4_429, 50_001), 50_001),
+     5, FOUND, 37, (37, 1_742, 1_742, 1_742, 1_742, 50_001), 50_001),
     # An uncolored vertex whose neighbors hold all three colors is dead.
-    (lambda: lc.make_graph(7, [(0, 3), (0, 5), (0, 6), (1, 2), (1, 5), (1, 6),
-                               (2, 3), (2, 4), (3, 4), (4, 5), (4, 6)]),
-     3, INFEASIBLE, 37, (37, 52, 52, 53, 53), 64),
+    (lambda: lc.make_graph(6, [(0, 1), (0, 4), (1, 2), (1, 5), (2, 3),
+                               (3, 4), (3, 5), (4, 5)]),
+     3, INFEASIBLE, 23, (23, 23, 26, 26, 29, 29), 32),
     # An empty class reads n + 1 in the search; with n, K1's one color
     # would read as held by a neighbor, and k = 1 as infeasible.
-    (lambda: lc.generate("empty", 1), 1, FOUND, 1, (1, 1, 1, 1, 1), 1),
+    (lambda: lc.generate("empty", 1), 1, FOUND, 1, (1,) * 6, 1),
 ], ids=["theorem2-k4", "theorem2-k5", "star8-k1-k3", "p5-p2-k3", "p5-p2-k4",
-        "p3-p4-k4", "p4-p3-k4", "star10-k1-k4", "dead-vertex-k3", "k1-k1"])
+        "p3-p4-k4", "p4-p4-k4", "star10-k1-k5", "dead-vertex-k3", "k1-k1"])
 def test_pinned_node_counts(build, k, status, nodes, earlier_nodes, reference_nodes):
     g = build()
     result = lc.find_locating_coloring(g, k, budget=50_000)
@@ -344,7 +452,7 @@ def test_full_code_premise_on_random_certificates(g):
     *((corona_of(lc.generate("star", n), lc.generate("empty", 1)), (4, "pendant-pair"))
       for n in (6, 7, 8)),
     (corona_of(lc.generate("path", 2), lc.generate("path", 2)), (4, "full-vertex")),
-    (corona_of(lc.generate("path", 3), lc.generate("path", 3)), (4, "clique")),
+    (corona_of(lc.generate("path", 3), lc.generate("path", 3)), (5, "full-vertex")),
     (lc.generate("cycle", 4), (4, "full-vertex")),
 ], ids=["star6-k1", "star7-k1", "star8-k1", "p2-p2", "p3-p3", "c4"])
 def test_static_rules_match_reference(g, bound):
@@ -369,7 +477,7 @@ def assert_static_premises(g, coloring):
     for v in full:
         assert len({colors[v], *(colors[w] for w in g.adjacency[v])}) == k
     assert len({colors[v] for v in full}) == len(full), (g, coloring, full)
-    for group in _pendant_groups(g):
+    for group in _pendant_groups(g).values():
         pairs = [(colors[l], colors[p]) for l, p in group]
         assert len(set(pairs)) == len(pairs), (g, coloring, group)
 

@@ -61,8 +61,9 @@ class TestFindLocatingColoring:
         assert result == SearchResult(BUDGET_EXHAUSTED, None, 11)
 
     def test_budget_exhaustion_is_explicit(self):
+        # k = 4 is refuted without search; k = 5 takes 127 nodes.
         prod, _ = lc.corona(lc.generate("path", 4), lc.generate("path", 3))
-        result = lc.find_locating_coloring(prod, 4, budget=10)
+        result = lc.find_locating_coloring(prod, 5, budget=10)
         assert result.status == BUDGET_EXHAUSTED
         assert result.coloring is None
 
@@ -100,7 +101,7 @@ class TestSearchTables:
         monkeypatch.setattr(lc.locating, "find_locating_coloring", counting_search)
         monkeypatch.setattr(lc.locating, "all_pairs_distances", counting_apsp)
         lc.locating._search_tables.cache_clear()
-        g = corona(lc.generate("path", 3), lc.generate("path", 3))
+        g = corona(lc.generate("path", 3), lc.generate("path", 4))
         assert lc.chi_L.__wrapped__(g).value == 5
         assert searched == [(4, INFEASIBLE), (5, FOUND)]
         assert built == [g]
@@ -115,7 +116,7 @@ class TestSearchTables:
 
         monkeypatch.setattr(lc.locating, "twin_classes", counting_twins)
         lc.locating._search_tables.cache_clear()
-        g = corona(lc.generate("path", 3), lc.generate("path", 3))
+        g = corona(lc.generate("path", 3), lc.generate("path", 4))
         assert lc.chi_L.__wrapped__(g).value == 5
         assert built == [g]
 
