@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .graphs import (
@@ -243,6 +244,72 @@ def _settled_pairs(order: list, rows: list) -> list:
     return settled
 
 
+def _frozen_candidates(g: Graph, order: list, pos: dict, rows: list) -> list:
+    """Per depth t, the earlier vertices u whose code may be final at t,
+    as (u, r): r is u's distance to the nearest vertex colored at t or
+    later.
+
+    A later vertex of color c lowers u's distance to class c only from
+    above r, so once all k are at most r, u's code is final. r only
+    grows with t; u is listed at the depth after its own and at the
+    first two where r grows, at most 3 times. r = 1 is left out: that is
+    the full vertex the search counts. A graph on n < 7 vertices gets
+    none: on every labelled connected graph of order <= 6, at every k,
+    the cut removes no node. Each round scans u's row in reverse search
+    order, O(n) in C, unless the first vertex's eccentricity is 32 or
+    more: then :func:`_frozen_by_layers` is cheaper.
+    """
+    n = len(order)
+    candidates = [[] for _ in order]
+    if n < 7:
+        return candidates
+    if max(rows[0]) >= 32:
+        return _frozen_by_layers(g, order, pos, candidates)
+    backwards = operator.itemgetter(*reversed(order))
+    for top, u, back in zip(range(n - 1, 0, -1), order, map(backwards, rows)):
+        # back[:top]: u's distances to depths n - top, ..., n - 1
+        for _ in range(3):
+            r = min(back[:top])
+            if r > 1:
+                candidates[n - top].append((u, r))
+            top = back.index(r, 0, top)  # r grows at depth n - top
+            if not top:
+                break
+    return candidates
+
+
+def _frozen_by_layers(g: Graph, order: list, pos: dict, candidates: list) -> list:
+    """:func:`_frozen_candidates` from the BFS layers around each u, in
+    search positions: r at depth t is the first layer that holds a
+    position of t or more, and it grows after that layer's last
+    position. Costs the ball up to the third r, not O(n).
+    """
+    n, at = len(order), pos.__getitem__
+    nbrs = [tuple(map(at, g.adjacency[v])) for v in order]
+    ball = [-1] * n  # ball[x] == p: x is in a layer around position p
+    for p, u in enumerate(order[:-1]):
+        layer, r, t, rounds = nbrs[p], 1, p + 1, 0
+        ball[p] = p
+        for x in layer:
+            ball[x] = p
+        while True:
+            last = max(layer)
+            if last >= t:  # r is u's distance to depth t
+                if r > 1:
+                    candidates[t].append((u, r))
+                t, rounds = last + 1, rounds + 1
+                if t == n or rounds == 3:
+                    break
+            nxt = []
+            for v in layer:
+                for x in nbrs[v]:
+                    if ball[x] != p:
+                        ball[x] = p
+                        nxt.append(x)
+            layer, r = nxt, r + 1
+    return candidates
+
+
 def _search_order(g: Graph, groups: dict) -> list:
     """The vertices by descending degree, ties by index, except that in
     each group of two or more pendant pairs (l, p) of
@@ -339,10 +406,10 @@ def _leaf_blocks(g: Graph) -> list:
     its top vertex u once its subtree is done, after the blocks below it,
     so its other cut vertices are known then; u is a cut vertex unless it
     is the root and pops one block only. A graph on n < 6 vertices has
-    no such block.
+    no such block, nor has a tree, whose blocks are its edges.
     """
     n, adj = g.n, g.adjacency
-    if n < 6:
+    if n < 6 or g.num_edges < n:
         return []
     disc, low, cut = [1] + [0] * (n - 1), [1] * n, [False] * n
     path, its, stack, leaves, at_root = [0], [], [], [], []
@@ -594,8 +661,9 @@ class _SearchTables:
     use: ``pendant_groups``, ``order`` and ``lower`` in O(n + m) memory,
     and ``tables``, the O(n^2) part.
     Per depth, ``tables`` has the distance row, N[v] with v first, the
-    color floors and the pairs that settle there; and it has the number
-    of flag slots that the floors use.
+    color floors, the pairs that settle there and the vertices whose code
+    may be final there; and it has the number of flag slots that the
+    floors use.
     """
 
     def __init__(self, g: Graph):
@@ -686,7 +754,8 @@ class _SearchTables:
         rows = [dist[v] for v in order]
         closed = [[v, *g.adjacency[v]] for v in order]
         floors, slots = _color_floors(g, order, pos, self.twins)
-        return order, rows, closed, floors, slots, _settled_pairs(order, rows)
+        return (order, rows, closed, floors, slots, _settled_pairs(order, rows),
+                _frozen_candidates(g, order, pos, rows))
 
 
 # One slot: chi_L searches one graph at k = LB, LB + 1, ..., and its own
@@ -709,19 +778,26 @@ def find_locating_coloring(
     pattern is lexicographically no smaller; so is a leaf block's image
     under each of its involutions (:func:`_leaf_block_involutions`), which
     fix the block's cut vertex and so extend to G by the identity, as no
-    other vertex of the block has a neighbor outside it. Each frame computes once its floor, and
-    a frame too deep to still introduce every missing color is cut. Each
-    color tried, held by a neighbor or not, is one node; the search stops
-    at node budget + 1.
+    other vertex of the block has a neighbor outside it. Each frame
+    computes once its floor, and a frame too deep to still introduce
+    every missing color is cut. Each color tried, held by a neighbor or
+    not, is one node; the search stops at node budget + 1.
 
     ``near[c]`` holds d(w, C_c) for every w over the vertices colored c so
     far (n + 1 while C_c is empty: above every distance, and above 1 even
-    when n = 1). Coloring v with c saves ``near[c]`` and
-    replaces it by its elementwise minimum with v's distance row, O(n);
-    undoing restores the saved list. On entering depth t, a pair that
+    when n = 1); ``near[0]`` is all 0. Coloring v with c saves ``near[c]``
+    and replaces it by its elementwise minimum with v's distance row,
+    O(n); undoing restores the saved list. On entering depth t, a pair that
     settles there (:func:`_settled_pairs`) with equal ``near`` columns
-    would collide at the leaf, so the frame is cut. The leaf reads the
-    codes off the columns of ``near``: an O(nk) check.
+    would collide at the leaf, so the frame is cut. Once every class is
+    non-empty, a candidate of :func:`_frozen_candidates` whose column is
+    at most its r has its final code. ``seen`` and ``mark`` record, per
+    such code and per vertex, the depth d where it was found and the
+    node count ``stamp[d]`` then: on the current path while d is not
+    below the frame and ``stamp[d]`` is unchanged. A second vertex with
+    a final code on the path cuts the frame; stale entries are
+    overwritten, never cleared. The leaf reads the codes off the columns
+    of ``near``: an O(nk) check.
 
     Color c lies in N[w] exactly when ``near[c][w]`` <= 1, and that one
     test serves three rules. The uncolored v may take c only when
@@ -742,7 +818,8 @@ def find_locating_coloring(
     c* o s is locating too, and first-occurrence renaming N never makes a
     sequence larger: c* <= N(c* o s) <= c* o s, which is every floor's
     condition. c* is proper, so on its prefixes no uncolored w is dead:
-    the neighbors of w never hold c*(w).
+    the neighbors of w never hold c*(w). Its final codes are distinct, so
+    no two full vertices, settled pairs or final codes collide on them.
 
     A k below the static bound :attr:`_SearchTables.lower` is refuted in
     0 nodes, with no O(n^2) table. Everything that does not depend on k
@@ -769,24 +846,33 @@ def find_locating_coloring(
         return SearchResult(INFEASIBLE, None, 0)
     if n > MAX_SEARCH_ORDER:
         raise SizeLimitError(f"order {n} exceeds the search limit {MAX_SEARCH_ORDER}")
-    order, rows, closed, floors, slots, settled = setup.tables
+    order, rows, closed, floors, slots, settled, frozen = setup.tables
     flags = [True] * slots  # the floors write their conditions here
 
     assignment = [0] * (n + 1)
-    near = [[n + 1] * n for _ in range(k + 1)]  # near[0] is never changed
+    # near[0] is never changed; zeros, so that a code read off all of near
+    # has its largest entry in a class.
+    near = [[0] * n] + [[n + 1] * n for _ in range(k)]
     # distinct[w]: the colors in N[w]; full[c]: the full vertices of color c.
     distinct, full = [0] * n, [0] * (k + 1)
     classes = range(1, k + 1)
     # Per depth: the colors used before it, and the near list its current
     # color replaced.
     used, saved = [0] * (n + 1), [None] * n
+    # Final codes and vertices -> (depth d found, node count at d's entry).
+    seen, mark, stamp = {}, [(n, 0)] * n, [0] * n
     nodes = 0
     i, fresh, clash = 0, True, False
     while i >= 0:
         if fresh:
-            if i == n and used[n] == k and len(set(zip(*near[1:]))) == n:
-                return SearchResult(FOUND, Coloring(k, tuple(assignment[:n])), nodes)
-            cut = clash or i == n or used[i] + n - i < k
+            if i == n:
+                if used[n] == k and len(set(zip(*near[1:]))) == n:
+                    colors = tuple(assignment[:n])
+                    return SearchResult(FOUND, Coloring(k, colors), nodes)
+                i, fresh = i - 1, False
+                continue
+            stamp[i] = nodes
+            cut = clash or used[i] + n - i < k
             if not cut:
                 for u, v in settled[i]:
                     if assignment[u] == assignment[v]:
@@ -796,16 +882,32 @@ def find_locating_coloring(
                         else:
                             cut = True
                             break
+            if not cut and used[i] == k:
+                for u, r in frozen[i]:
+                    d, at = mark[u]
+                    if d <= i and stamp[d] == at:
+                        continue  # final on this path already
+                    for row in near:
+                        if row[u] > r:
+                            break
+                    else:  # u's code is final
+                        code = tuple([row[u] for row in near])
+                        d, at = seen.get(code, (n, 0))
+                        if d <= i and stamp[d] == at:
+                            cut = True  # and so is another vertex's
+                            break
+                        seen[code] = mark[u] = i, nodes
             if cut:
                 i, fresh = i - 1, False
                 continue
-            color = 1
+            color, v = 1, order[i]
             for x, strict, slot, link, px, py in floors[i]:
                 flags[slot] = on = flags[link] and assignment[px] == assignment[py]
                 if on and assignment[x] + strict > color:
                     color = assignment[x] + strict
         else:
-            color = assignment[order[i]] + 1
+            v = order[i]
+            color = assignment[v] + 1
             old = near[color - 1] = saved[i]
             for w in closed[i]:
                 if old[w] > 1:
@@ -813,7 +915,7 @@ def find_locating_coloring(
                         full[assignment[w]] -= 1
                     distinct[w] -= 1
             clash = False
-        v, top = order[i], min(k, used[i] + 1)
+        top = used[i] + (used[i] < k)
         while color <= top:
             nodes += 1
             if nodes > budget:

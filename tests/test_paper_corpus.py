@@ -70,14 +70,16 @@ def test_paper_corpus_at_benchmark_budget(monkeypatch):
         resolved.append(label)
     # The paper's star formula, solver-checked for every n in 4..16.
     assert {f"star{n}(.)K1" for n in range(4, 17)} <= set(resolved), resolved
-    # 30,928 nodes before the leaf-block involutions and the refined
-    # static bound, 112,450 before each grouped pendant pair's leaf
-    # followed its neighbour in the search order, 204,264 before the
-    # clique, full-vertex and pendant-pair rules refuted k without search,
-    # 204,321 before k = 2 was, 26 of 27 in 273,929 before the full-code
-    # cut, and 19 in 600,301 before the branch-swap order.
+    # 11,879 nodes before the frozen-code cut, 30,928 before the
+    # leaf-block involutions and the refined static bound, 112,450 before
+    # each grouped pendant pair's leaf followed its neighbour in the search
+    # order, 204,264 before the clique, full-vertex and pendant-pair rules
+    # refuted k without search, 204,321 before k = 2 was, 26 of 27 in
+    # 273,929 before the full-code cut, and 19 in 600,301 before the
+    # branch-swap order.
     assert len(resolved) == 27, resolved
-    assert sum(nodes) == 11_879 <= 30_928 <= 112_450 <= 204_264 <= 204_321 <= 273_929 <= 600_301
+    assert (sum(nodes) == 5_442 <= 11_879 <= 30_928 <= 112_450 <= 204_264
+            <= 204_321 <= 273_929 <= 600_301)
     # 32 searches before the refined static bound, and 75 before chi_L
     # started at the bound of all five static rules, where it had started
     # at the twin-class bound.

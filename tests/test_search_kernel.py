@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import locachrom as lc
+from locachrom import locating
 from conftest import all_trees, atlas_connected, atlas_graphs
 from locachrom.locating import (
     BUDGET_EXHAUSTED,
@@ -23,6 +24,7 @@ from locachrom.locating import (
     _branch_swaps,
     _clique_sizes,
     _color_floors,
+    _frozen_candidates,
     _leaf_block_involutions,
     _pendant_groups,
     _search_order,
@@ -283,6 +285,30 @@ def test_search_matches_reference_on_p2_coronas():
             assert_same_search(g, k)
 
 
+# P3 (.) H, for the H of order <= 4 whose searches the frozen-code cut
+# shortens, at that k; each with its node count without the cut. Left
+# out: H = 2K2 at k = 4 (2,188 -> 666 nodes), where the reference takes
+# about 2 s.
+@pytest.mark.parametrize("order,edges,k,without", [
+    (3, [(1, 2)], 4, 74),
+    (4, [(2, 3)], 4, 175),
+    (4, [(1, 3), (2, 3)], 5, 128),
+    (4, [(1, 2), (1, 3), (2, 3)], 5, 137),
+    (4, [(0, 1), (0, 3), (1, 2)], 4, 1_673),
+    (4, [(0, 1), (0, 3), (1, 2), (2, 3)], 5, 251),
+], ids=["K2uK1", "K2u2K1", "P3uK1", "K3uK1", "P4", "C4"])
+def test_search_matches_reference_where_frozen_codes_cut(
+        order, edges, k, without, monkeypatch):
+    g = corona_of(lc.generate("path", 3), lc.make_graph(order, edges))
+    assert_same_search(g, k)
+    cut = lc.find_locating_coloring(g, k).nodes
+    monkeypatch.setattr(locating, "_frozen_candidates",
+                        lambda g, order, *_: [[] for _ in order])
+    locating._search_tables.cache_clear()
+    assert lc.find_locating_coloring(g, k).nodes == without > cut
+    locating._search_tables.cache_clear()
+
+
 def assert_order_keeps_pendant_pairs(g):
     # The order re-derived by scan: pairs (l, p) with p a leaf and l of
     # degree >= 2 with no other leaf neighbor, grouped by N(l) - p.
@@ -345,40 +371,46 @@ def test_search_matches_reference_on_trees():
 
 
 # (status, nodes) at budget 5e4; the counts of earlier kernels, newest
-# first: before the leaf-block involutions and the refined static bound,
-# before each grouped pendant pair's leaf followed its neighbour in the
-# search order, before the color-presence counter over all of N[v],
-# before the static clique, full-vertex and pendant-pair rules, before the
-# full-code cut, then before the branch-swap order; and the node count the
-# reference kernel without the symmetry and settled-pair cuts recorded
-# there (50,001 is an exhausted budget). Each count bounds the one before
-# it. Of the infeasible instances, the last three are left to the search.
+# first: before the frozen-code cut, before the leaf-block involutions
+# and the refined static bound, before each grouped pendant pair's leaf
+# followed its neighbour in the search order, before the color-presence
+# counter over all of N[v], before the static clique, full-vertex and
+# pendant-pair rules, before the full-code cut, then before the
+# branch-swap order; and the node count the reference kernel without the
+# symmetry and settled-pair cuts recorded there (50,001 is an exhausted
+# budget). Each count bounds the one before it. Of the infeasible
+# instances, the last three are left to the search.
 @pytest.mark.parametrize("build,k,status,nodes,earlier_nodes,reference_nodes", [
-    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 0, (0, 0, 0, 53, 53, 53), 104),
-    (lambda: lc.fixture_theorem2().graph, 5, FOUND, 2_459,
-     (4_870, 4_870, 4_870, 4_870, 41_626, 41_626), 50_001),
+    (lambda: lc.fixture_theorem2().graph, 4, INFEASIBLE, 0,
+     (0, 0, 0, 0, 53, 53, 53), 104),
+    (lambda: lc.fixture_theorem2().graph, 5, FOUND, 178,
+     (2_459, 4_870, 4_870, 4_870, 4_870, 41_626, 41_626), 50_001),
     (lambda: corona_of(lc.generate("star", 8), lc.generate("path", 1)),
-     3, INFEASIBLE, 0, (0, 0, 0, 153, 153, 2_208), 49_152),
+     3, INFEASIBLE, 0, (0, 0, 0, 0, 153, 153, 2_208), 49_152),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     3, INFEASIBLE, 0, (0, 0, 0, 65, 100, 100), 2_256),
+     3, INFEASIBLE, 0, (0, 0, 0, 0, 65, 100, 100), 2_256),
     (lambda: corona_of(lc.generate("path", 5), lc.generate("path", 2)),
-     4, FOUND, 491, (491, 491, 491, 491, 624, 624), 13_523),
+     4, FOUND, 249, (491, 491, 491, 491, 491, 624, 624), 13_523),
+    # The corpus's heaviest search; the frozen-code cut leaves a quarter.
+    (lambda: corona_of(lc.generate("path", 6), lc.generate("path", 2)),
+     4, FOUND, 1_064, (4_381, 4_381, 4_381, 4_381, 4_381, 6_769, 6_769), 50_001),
     (lambda: corona_of(lc.generate("path", 3), lc.generate("path", 4)),
-     4, INFEASIBLE, 1_553, (10_768, 10_768, 10_768, 10_768, 32_576, 32_576), 50_001),
+     4, INFEASIBLE, 1_541,
+     (1_553, 10_768, 10_768, 10_768, 10_768, 32_576, 32_576), 50_001),
     # Each P4 copy reversed is an involution of its leaf block.
     (lambda: corona_of(lc.generate("path", 4), lc.generate("path", 4)),
-     4, INFEASIBLE, 9_250, (50_001,) * 6, 50_001),
+     4, INFEASIBLE, 9_178, (9_250, *(50_001,) * 6), 50_001),
     (lambda: corona_of(lc.generate("star", 10), lc.generate("path", 1)),
-     5, FOUND, 37, (37, 1_742, 1_742, 1_742, 1_742, 50_001), 50_001),
+     5, FOUND, 37, (37, 37, 1_742, 1_742, 1_742, 1_742, 50_001), 50_001),
     # An uncolored vertex whose neighbors hold all three colors is dead.
     (lambda: lc.make_graph(6, [(0, 1), (0, 4), (1, 2), (1, 5), (2, 3),
                                (3, 4), (3, 5), (4, 5)]),
-     3, INFEASIBLE, 23, (23, 23, 26, 26, 29, 29), 32),
+     3, INFEASIBLE, 23, (23, 23, 23, 26, 26, 29, 29), 32),
     # An empty class reads n + 1 in the search; with n, K1's one color
     # would read as held by a neighbor, and k = 1 as infeasible.
-    (lambda: lc.generate("empty", 1), 1, FOUND, 1, (1,) * 6, 1),
+    (lambda: lc.generate("empty", 1), 1, FOUND, 1, (1,) * 7, 1),
 ], ids=["theorem2-k4", "theorem2-k5", "star8-k1-k3", "p5-p2-k3", "p5-p2-k4",
-        "p3-p4-k4", "p4-p4-k4", "star10-k1-k5", "dead-vertex-k3", "k1-k1"])
+        "p6-p2-k4", "p3-p4-k4", "p4-p4-k4", "star10-k1-k5", "dead-vertex-k3", "k1-k1"])
 def test_pinned_node_counts(build, k, status, nodes, earlier_nodes, reference_nodes):
     g = build()
     result = lc.find_locating_coloring(g, k, budget=50_000)
@@ -392,12 +424,13 @@ def test_pinned_node_counts(build, k, status, nodes, earlier_nodes, reference_no
 def test_full_code_cut_decides_p5_k2_k1_at_k4():
     # Without the cut, this search exhausts a budget of 5e4 nodes (75,250
     # nodes at 2e6). With it, chi_L(P5 (.) (K2 u K1)) = 4 is decided at
-    # 5e4. P5 (.) P3 at k = 4, which this test checked before, is now
-    # refuted before the search by the full-vertex rule.
+    # 5e4: in 24,697 nodes before the frozen-code cut, 11,445 with it.
+    # P5 (.) P3 at k = 4, which this test checked before, is now refuted
+    # before the search by the full-vertex rule.
     h = lc.disjoint_union(lc.generate("path", 2), lc.generate("path", 1))
     g = corona_of(lc.generate("path", 5), h)
     result = lc.find_locating_coloring(g, 4, budget=50_000)
-    assert (result.status, result.nodes) == (FOUND, 24_697)
+    assert (result.status, result.nodes) == (FOUND, 11_445)
     assert lc.verify(g, result.coloring).locating
 
 
@@ -446,6 +479,121 @@ def test_full_code_premise_on_certificates():
 def test_full_code_premise_on_random_certificates(g):
     if g.n >= 2:
         assert_no_two_full_vertices_share_a_color(g, lc.chi_L(g).certificate)
+
+
+def final_codes_found_early(g, coloring):
+    # The frozen-code cut's premise, checked without the kernel: over every
+    # prefix of the search order, a colored u whose distance to each class
+    # of the prefix is at most its distance to the uncolored rest already
+    # has its final code. Returns how often the premise held before the
+    # last vertex.
+    assert lc.verify(g, coloring).locating
+    n, colors = g.n, coloring.colors
+    dist = lc.all_pairs_distances(g)
+    final = lc.color_codes(g, coloring)
+    order = _search_order(g, _pendant_groups(g))
+    near = [[n + 1] * n for _ in range(coloring.k)]
+    held = 0
+    for t, x in enumerate(order[:-1], 1):
+        c = colors[x] - 1
+        near[c] = [min(a, b) for a, b in zip(near[c], dist[x])]
+        for u in order[:t]:
+            code = tuple(cls[u] for cls in near)
+            if max(code) <= min(dist[u][w] for w in order[t:]):
+                assert code == final[u], (g, coloring, order[:t], u)
+                held += 1
+    return held
+
+
+def test_final_code_premise_on_certificates():
+    # Over certificates from chi_L and from every shipped construction.
+    for g in atlas_connected(6):
+        final_codes_found_early(g, lc.chi_L(g).certificate)
+    for n in range(4, 21):
+        g = corona_of(lc.generate("star", n), lc.generate("empty", 1))
+        final_codes_found_early(g, lc.star_corona_coloring(n).coloring)
+    for g in atlas_connected(4):
+        for k in range(max(2, g.n - 1), 6):
+            final_codes_found_early(corona_of(g, lc.generate("empty", k)),
+                                    lc.empty_corona_coloring(g, k).coloring)
+    fixture = lc.fixture_theorem2()
+    assert final_codes_found_early(fixture.graph, fixture.result.coloring) > 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(connected_graphs())
+def test_final_code_premise_on_random_certificates(g):
+    if g.n >= 2:
+        final_codes_found_early(g, lc.chi_L(g).certificate)
+
+
+def frozen_candidates_by_definition(order, rows):
+    # Per depth, (u, r) for r = d(u, the vertices at that depth or later),
+    # at the depth after u's own and at the first two depths where r
+    # grows, r = 1 left out.
+    n = len(order)
+    table = [[] for _ in order]
+    for p, u in enumerate(order[:-1]):
+        r, nearest = {}, n
+        for t in range(n - 1, p, -1):
+            nearest = r[t] = min(nearest, rows[p][order[t]])
+        grows = [t for t in range(p + 2, n) if r[t] > r[t - 1]]
+        for t in [p + 1, *grows[:2]]:
+            if r[t] > 1:
+                table[t].append((u, r[t]))
+    return table
+
+
+def frozen_table(g):
+    # The table and the one of the definition.
+    order = _search_order(g, _pendant_groups(g))
+    dist = lc.all_pairs_distances(g)
+    rows = [dist[v] for v in order]
+    table = _frozen_candidates(g, order, {v: i for i, v in enumerate(order)}, rows)
+    return table, frozen_candidates_by_definition(order, rows)
+
+
+def test_frozen_candidates_match_definition():
+    star_k1 = lambda n: corona_of(lc.generate("star", n), lc.generate("empty", 1))
+    graphs = [g for g in atlas_connected(7) if g.n == 7]
+    graphs += [star_k1(n) for n in (4, 9, 16, 40)] + [lc.fixture_theorem2().graph]
+    # From an eccentricity of 32 on, the table is read off BFS layers.
+    graphs += [lc.generate("path", n) for n in (33, 34, 60)]
+    graphs += [spider(3, 12), spider(3, 40), lc.generate("cycle", 70)]
+    graphs += [corona_of(lc.generate("path", 40), lc.generate("path", 2))]
+    for g in graphs:
+        table, by_definition = frozen_table(g)
+        assert table == by_definition, g
+
+
+def test_frozen_candidates_small_and_linear():
+    # None below 7 vertices; at most 3 per vertex, so a path of 300
+    # vertices gets 593 (one of 1,500 gets 2,993), not O(n^2).
+    for g in atlas_connected(6):
+        assert frozen_table(g)[0] == [[] for _ in range(g.n)]
+    table, _ = frozen_table(lc.generate("path", 300))
+    assert sum(map(len, table)) == 593
+    per_vertex = {}
+    for entries in table:
+        for u, _ in entries:
+            per_vertex[u] = per_vertex.get(u, 0) + 1
+    assert max(per_vertex.values()) <= 3
+
+
+def test_frozen_cut_removes_nothing_below_7_vertices(monkeypatch):
+    # Why graphs on at most 6 vertices get no table: with the table of
+    # the definition, no search on a connected graph of order <= 6
+    # changes its node count, at any k.
+    def counts():
+        locating._search_tables.cache_clear()
+        return [locating.find_locating_coloring(g, k).nodes
+                for g in atlas_connected(6) for k in range(1, g.n + 1)]
+
+    without = counts()
+    by_definition = lambda g, order, pos, rows: frozen_candidates_by_definition(order, rows)
+    monkeypatch.setattr(locating, "_frozen_candidates", by_definition)
+    assert counts() == without
+    locating._search_tables.cache_clear()
 
 
 @pytest.mark.parametrize("g,bound", [
