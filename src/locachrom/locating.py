@@ -10,6 +10,7 @@ least k admitting a locating k-coloring.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -31,9 +32,6 @@ BRUTE_FORCE_LIMIT = 8
 
 #: Largest order for which :func:`find_locating_coloring` builds its O(n^2) tables.
 MAX_SEARCH_ORDER = 2_000
-
-#: Largest leaf block whose involutions :func:`_leaf_block_involutions` searches.
-MAX_SYMMETRY_BLOCK = 5
 
 FOUND = "found"
 INFEASIBLE = "infeasible"
@@ -399,8 +397,11 @@ def _branch_swaps(g: Graph, pos: dict) -> list:
 
 
 def _leaf_blocks(g: Graph) -> list:
-    """The blocks with exactly one cut vertex c and 5 to
-    :data:`MAX_SYMMETRY_BLOCK` vertices, as (c, the others ascending).
+    """The blocks with exactly one cut vertex c and 5 vertices, as (c, the
+    others ascending). In a smaller block an involution fixing c is one
+    transposition, and an automorphism that swaps only x and y makes
+    them twins, which the twin floors already order. Taking in blocks of
+    6 to 8 vertices as well moved no node count of the paper's coronas.
 
     One iterative Hopcroft-Tarjan pass (1973), O(n + m). A block pops at
     its top vertex u once its subtree is done, after the blocks below it,
@@ -444,69 +445,45 @@ def _leaf_blocks(g: Graph) -> list:
             inner = [x for x in rest if cut[x]]
             if u:
                 cut[u] = True
-                if not inner and 4 <= len(rest) < MAX_SYMMETRY_BLOCK:
+                if not inner and len(rest) == 4:
                     leaves.append((u, sorted(rest)))
             else:
                 at_root.append((inner, rest))
             v = u
     if len(at_root) > 1:
         leaves += [(0, sorted(rest)) for inner, rest in at_root
-                   if not inner and 4 <= len(rest) < MAX_SYMMETRY_BLOCK]
+                   if not inner and len(rest) == 4]
     else:
         [(inner, rest)] = at_root
-        if len(inner) == 1 and 4 <= len(rest) < MAX_SYMMETRY_BLOCK:
+        if len(inner) == 1 and len(rest) == 4:
             c = inner[0]
             leaves.append((c, sorted(x if x != c else 0 for x in rest)))
     return leaves
 
 
-def _block_involutions(masks: tuple) -> list:
-    """The involutions of a graph on 0..s - 1, given by neighbor bitmasks,
-    that fix 0 and map each twin class onto one in ascending order, bar
-    the identity; each as its pairs (x, image of x), x < image.
+@functools.cache
+def _block_involutions(masks: tuple) -> tuple:
+    """The involutions of a graph on 0..4, given by neighbor bitmasks,
+    that fix 0, keep each twin pair x < y in order and are not the
+    identity; each as its pairs (x, image of x), x < image.
 
-    Each twin class goes to itself or to a later free class of its size,
-    degree and adjacency to 0; a partial map that breaks an adjacency is
-    dropped. Any other involution is one of these times twin
-    transpositions.
+    The candidates are the 9 involutions of 1..4 bar the identity, each
+    kept if it maps edges to edges. Any other involution fixing 0 is one
+    of these times twin transpositions. Cached: there are at most 2^10
+    shapes, and a corona repeats one per center.
     """
-    s = len(masks)
-    classes, seen = [], 0
-    for i in range(1, s):
-        if not seen >> i & 1:
-            cls = [j for j in range(i, s)
-                   if masks[i] & ~(1 << j) == masks[j] & ~(1 << i)]
-            for j in cls:
-                seen |= 1 << j
-            classes.append(cls)
-    kind = [(len(a), masks[a[0]].bit_count(), masks[a[0]] & 1) for a in classes]
-    if len(set(kind)) == len(kind):
-        return []
-    sigma = [0] + [-1] * (s - 1)
+    twins = [(x, y) for x, y in itertools.combinations(range(1, 5), 2)
+             if masks[x] & ~(1 << y) == masks[y] & ~(1 << x)]
     found = []
-
-    def extend(ci):  # depth < MAX_SYMMETRY_BLOCK
-        while ci < len(classes) and sigma[classes[ci][0]] >= 0:
-            ci += 1
-        if ci == len(classes):
-            pairs = [(x, y) for x, y in enumerate(sigma) if x < y]
-            if pairs:
-                found.append(pairs)
-            return
-        a = classes[ci]
-        for b, kb in zip(classes[ci:], kind[ci:]):
-            if kb != kind[ci] or sigma[b[0]] >= 0:
-                continue
-            for x, y in zip(a, b):
-                sigma[x], sigma[y] = y, x
-            if all(masks[x] >> z & 1 == masks[sigma[x]] >> sigma[z] & 1
-                   for x in (*a, *b) for z in range(s) if sigma[z] >= 0):
-                extend(ci + 1)
-            for x in (*a, *b):
-                sigma[x] = -1
-
-    extend(0)
-    return found
+    for images in itertools.permutations(range(1, 5)):
+        sigma = (0, *images)
+        if (all(sigma[y] == x for x, y in enumerate(sigma))
+                and sigma != (0, 1, 2, 3, 4)
+                and all(sigma[x] < sigma[y] for x, y in twins)
+                and all(masks[sigma[x]] >> sigma[z] & 1 == masks[x] >> z & 1
+                        for x in range(5) for z in range(x))):
+            found.append(tuple((x, y) for x, y in enumerate(sigma) if x < y))
+    return tuple(found)
 
 
 def _leaf_block_involutions(g: Graph) -> list:
@@ -516,11 +493,10 @@ def _leaf_block_involutions(g: Graph) -> list:
 
     No vertex of the block but c has a neighbor outside it, so an
     automorphism of the block that fixes c extends to g by the identity.
-    Twins of g in the block are twins in the block. Each block shape, as
-    laid out by (c, the others ascending), is searched once per graph: a
-    corona repeats one shape per center.
+    Twins of g in the block are twins in the block. The block's masks
+    are laid out as (c, the others ascending).
     """
-    adj, shapes, swaps = g.adjacency, {}, []
+    adj, swaps = g.adjacency, []
     for c, rest in _leaf_blocks(g):
         if len({(len(adj[v]), c in adj[v]) for v in rest}) == len(rest):
             continue  # no two vertices that an involution fixing c could swap
@@ -530,10 +506,8 @@ def _leaf_block_involutions(g: Graph) -> list:
         for v in rest:
             masks.append(sum(map(bit.__getitem__, adj[v])))
             masks[0] |= (masks[-1] & 1) * bit[v]
-        key = tuple(masks)
-        if key not in shapes:
-            shapes[key] = _block_involutions(key)
-        swaps += [[(local[x], local[y]) for x, y in pairs] for pairs in shapes[key]]
+        swaps += [[(local[x], local[y]) for x, y in pairs]
+                  for pairs in _block_involutions(tuple(masks))]
     return swaps
 
 
@@ -686,21 +660,19 @@ class _SearchTables:
         Each rule refutes every k below its own threshold, so the rules
         together refute exactly the k below the largest threshold:
 
-        - *twin-class*, |C| + (|C| < n) for the largest twin class C.
-          Twins with one color have one code, so C needs |C| colors. When
-          |C| < n, some w outside C is adjacent to all of C: non-adjacent
-          twins share N(v), and adjacent twins share N[v], which is C
-          only when C is a component, that is V. With k = |C|, C holds
-          every color, so w has the color of a neighbor. The threshold
-          is at least min(n, 2), so one color, which gives every vertex
-          the code (0), is refuted whenever n >= 2.
         - *clique*, the largest q(v) of :func:`_clique_sizes`: a clique
           of G+ needs distinct colors, as its G-edges are proper and its
           twins differ. q(v) is the size of a clique of G+ inside N[v]:
           the greedy one grown from v; the greedy clique K of another
           vertex, when v is in K and G-adjacent to the rest of K; or
           C + v for a twin class C inside N(v), since the twins of C are
-          pairwise adjacent in G+.
+          pairwise adjacent in G+. For a twin class C with |C| < n, some
+          w outside C is adjacent to one member of C, as G is connected,
+          and so to all of C, as twins share N(v) or N[v]; C + w gives
+          q(w) > |C| wherever that reaches the largest q. If C = V, G is
+          K_n and q = n. So the threshold is at least min(n, 2), and one
+          color, which gives every vertex the code (0), is refuted
+          whenever n >= 2.
         - *pendant-pair*, ceil(sqrt(P)) + 1 for the largest P, over the
           groups of :func:`_pendant_groups`, of the group's pairs (l, p)
           plus the vertices w with N(w) = S, where S = N(l) - p. The l of
@@ -726,7 +698,6 @@ class _SearchTables:
         """
         g, n, adj = self.g, self.g.n, self.g.adjacency
         q = sorted(_clique_sizes(g, self.twins), reverse=True)
-        c = max(map(len, self.twins))
         # N(l) - p -> the pairs (l, p) and the w with N(w) = N(l) - p
         count = {key: len(group) for key, group in self.pendant_groups.items()}
         if count:
@@ -736,7 +707,6 @@ class _SearchTables:
                     count[around] += 1
         pendants = max(count.values(), default=0)
         k, tag = max(  # the first of the largest
-            (c + (c < n), "twin-class"),
             (q[0], "clique"),
             (math.isqrt(pendants - 1) + 2 if pendants else 0, "pendant-pair"),
             key=lambda rule: rule[0],

@@ -102,8 +102,9 @@ class TestTwinClasses:
 
 class TestLowerBound:
     def test_star5_twin_class(self):
-        # The four endpoints are one twin class that the center sees whole.
-        assert lc.locating_lower_bound(lc.generate("star", 5)) == (5, "twin-class")
+        # The four endpoints are one twin class that the center sees whole:
+        # with the center, a clique of G plus its twin pairs.
+        assert lc.locating_lower_bound(lc.generate("star", 5)) == (5, "clique")
 
     def test_corona_p3_k3bar(self):
         prod, _ = lc.corona(lc.generate("path", 3), lc.generate("empty", 3))

@@ -231,8 +231,10 @@ def lower_bound_by_scan(g):
                 return True
         return False
 
+    # The twin-class rule is implied by the clique rule: a twin class C
+    # and any w outside C that sees C are a clique of G+.
+    assert all(k < max(q) for k in range(1, n + 1) if twin_class_refutes(k))
     rules = [
-        ("twin-class", twin_class_refutes),
         ("clique", lambda k: k < max(q)),
         ("pendant-pair", lambda k: pendants > (k - 1) ** 2),
         ("full-vertex", lambda k: sum(x >= k for x in q) > k),
@@ -271,6 +273,13 @@ def test_lower_bound_below_brute_force(g):
 @given(graphs(min_order=2, max_order=5, connected=True))
 def test_solver_matches_brute_force(g):
     assert lc.chi_L(g).value == lc.brute_force_chi_L(g)
+
+
+def test_solver_matches_brute_force_exhaustively():
+    graphs = atlas_connected(6)
+    assert len(graphs) == 142
+    for g in graphs:
+        assert lc.chi_L(g).value == lc.brute_force_chi_L(g), g.edges
 
 
 @settings(deadline=None, max_examples=40)

@@ -18,9 +18,9 @@ from locachrom.locating import (
     BUDGET_EXHAUSTED,
     FOUND,
     INFEASIBLE,
-    MAX_SYMMETRY_BLOCK,
     Coloring,
     SearchResult,
+    _block_involutions,
     _branch_swaps,
     _clique_sizes,
     _color_floors,
@@ -243,13 +243,12 @@ def block_involutions_by_brute_force(g, c, block):
 @example(lc.make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (2, 5)]))
 def test_leaf_block_involutions_are_automorphisms(g):
     # Each emitted involution is an automorphism of g that moves only the
-    # non-cut vertices of one leaf block of 5 to MAX_SYMMETRY_BLOCK
-    # vertices, and moves some pair of non-twins. Every involution of
-    # such a block is an emitted one, up to twins.
+    # non-cut vertices of one leaf block of 5 vertices, and moves some
+    # pair of non-twins. Every involution of such a block is an emitted
+    # one, up to twins.
     twin = {v: frozenset(cls) for cls in lc.twin_classes(g) for v in cls}
     edges = {frozenset(e) for e in g.edges}
-    blocks = [(c, b) for c, b in leaf_blocks_by_networkx(g)
-              if 5 <= len(b) <= MAX_SYMMETRY_BLOCK]
+    blocks = [(c, b) for c, b in leaf_blocks_by_networkx(g) if len(b) == 5]
     emitted = []
     for swap in _leaf_block_involutions(g):
         sigma = dict(swap) | {v: u for u, v in swap}
@@ -266,6 +265,60 @@ def test_leaf_block_involutions_are_automorphisms(g):
                 all(tau.get(v, v) in twin[image] for v, image in sigma.items())
                 for tau in emitted
             ) or all(image in twin[v] for v, image in sigma.items()), sigma
+
+
+def labelled_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield lc.make_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def twins_by_neighborhoods(g):
+    # v -> the vertices u with N(u) - v = N(v) - u, v included.
+    nbrs = [set(a) for a in g.adjacency]
+    return {v: {u for u in range(g.n) if nbrs[u] - {v} == nbrs[v] - {u}}
+            for v in range(g.n)}
+
+
+def test_block_involutions_on_every_five_vertex_shape():
+    # On all 1,024 graphs on 0..4, cut vertex 0: each emitted involution
+    # is an automorphism fixing 0 that swaps no twins, none is emitted
+    # twice, and every involution fixing 0 is an emitted one, up to twins.
+    block = frozenset(range(5))
+    for g in labelled_graphs(5):
+        twin = twins_by_neighborhoods(g)
+        masks = tuple(sum(1 << w for w in around) for around in g.adjacency)
+        emitted = [dict(pairs) | {y: x for x, y in pairs}
+                   for pairs in _block_involutions(masks)]
+        everything = block_involutions_by_brute_force(g, 0, block)
+        moved = [{v: image for v, image in sigma.items() if v != image}
+                 for sigma in everything]
+        assert len({tuple(sorted(sigma.items())) for sigma in emitted}) == len(emitted)
+        for sigma in emitted:
+            assert sigma and sigma in moved, (g.edges, sigma)
+            assert all(image not in twin[v] for v, image in sigma.items()), sigma
+        for sigma in everything:
+            assert any(
+                all(tau.get(v, v) in twin[image] for v, image in sigma.items())
+                for tau in emitted
+            ) or all(image in twin[v] for v, image in sigma.items()), sigma
+
+
+def test_smaller_blocks_have_only_twin_involutions():
+    # Why leaf blocks of 3 or 4 vertices get no floors of their own: every
+    # involution of a biconnected graph on 3 or 4 vertices that fixes 0
+    # swaps twins only.
+    biconnected = 0
+    for n in (3, 4):
+        for g in labelled_graphs(n):
+            nxg = nx.Graph(list(g.edges))
+            if nxg.number_of_nodes() < n or not nx.is_biconnected(nxg):
+                continue
+            biconnected += 1
+            twin = twins_by_neighborhoods(g)
+            for sigma in block_involutions_by_brute_force(g, 0, frozenset(range(n))):
+                assert all(image in twin[v] for v, image in sigma.items()), sigma
+    assert biconnected == 11
 
 
 @settings(deadline=None, max_examples=40)
@@ -348,9 +401,7 @@ def test_search_order_keeps_pendant_pairs_on_tree_coronas():
 def test_search_matches_reference_exhaustively():
     # Every labelled connected graph on at most 5 vertices, at every k.
     for n in range(1, 6):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            g = lc.make_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        for g in labelled_graphs(n):
             if lc.is_connected(g):
                 for k in range(1, n + 1):
                     assert_same_search(g, k)
