@@ -7,6 +7,7 @@ handed back.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -90,9 +91,21 @@ def _checked_result(source: str, g: Graph, coloring: Coloring) -> ConstructionRe
     return ConstructionResult(source, coloring)
 
 
-def _component_joins(h: Graph) -> list:
-    """K1 + H[C] for each component C of H, in canonical order."""
-    return [join_with_k1(induced_subgraph(h, c)) for c in connected_components(h)]
+@functools.lru_cache(maxsize=None)
+def _component_joins(h: Graph) -> tuple:
+    """K1 + H[C] for each component C of H, in canonical order.
+
+    Cached on H, so :func:`corona_bounds`, :func:`optimal_upper_parts` and
+    :func:`corona_upper_coloring` share one set of join graphs, and their
+    adjacency, connectivity and hash are computed once; ``chi_L`` then
+    finds each join by identity. The cache is unbounded, like ``chi_L``'s.
+    On the sandwich chain every join is already a key of ``chi_L``'s
+    cache, since the first two functions solve each one, so this cache
+    keeps alive only H and the tuple.
+    """
+    return tuple(
+        join_with_k1(induced_subgraph(h, c)) for c in connected_components(h)
+    )
 
 
 def corona_bounds(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> BoundsReport:
@@ -310,6 +323,12 @@ def best_corona_bounds(
     )
 
 
+#: The fixed graphs of :func:`pendant_tree_classifier`: the host P6 and
+#: the copy K1 of the one-pendant extension.
+_P6 = generate("path", 6)
+_K1 = generate("empty", 1)
+
+
 def _require_tree(t: Graph):
     if t.n < 2 or not is_connected(t) or t.num_edges != t.n - 1:
         raise InputError("expected a tree with at least 2 vertices")
@@ -330,10 +349,9 @@ def pendant_tree_classifier(t: Graph, g3: Graph) -> int:
         raise InputError(
             f"classifier requires a tree with value 3, solver found {base.value}"
         )
-    p6 = generate("path", 6)
-    value = 3 if subgraph_isomorphic(t, p6) or subgraph_isomorphic(t, g3) else 4
+    value = 3 if subgraph_isomorphic(t, _P6) or subgraph_isomorphic(t, g3) else 4
     if 2 * t.n <= 14:
-        product, _ = corona(t, generate("empty", 1))
+        product, _ = corona(t, _K1)
         exact = chi_L(product, DEFAULT_BUDGET)
         if exact.value is not None and exact.value != value:
             raise ConstructionError(

@@ -221,9 +221,21 @@ def is_connected(g: Graph) -> bool:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable) -> Graph:
-    """Induced subgraph relabeled to 0..m-1 in ascending vertex order."""
-    ordered = sorted(vertices)
+    """Induced subgraph relabeled to 0..m-1 in ascending vertex order.
+
+    A vertex that is not an ``int`` (``bool`` included), lies outside
+    0..n-1 or is listed twice raises :class:`InputError`.
+    """
+    ordered = list(vertices)
+    bad = next((v for v in ordered if type(v) is not int), None)
+    if bad is not None:
+        raise InputError(f"vertices must be integers, got {bad!r}")
+    ordered.sort()
+    if ordered and (ordered[0] < 0 or ordered[-1] >= g.n):
+        raise InputError(f"vertex out of range [0, {g.n}) in {ordered}")
     index = {v: i for i, v in enumerate(ordered)}
+    if len(index) < len(ordered):
+        raise InputError(f"duplicate vertex in {ordered}")
     edges = [
         (index[a], index[b]) for a, b in g.edges if a in index and b in index
     ]

@@ -964,9 +964,12 @@ def brute_force_chi_L(g: Graph) -> int:
     Improper colorings can never be locating, so restricting the
     enumeration to proper ones loses nothing. No ordering heuristics, no
     symmetry breaking; intended as an independent check of :func:`chi_L`
-    on graphs with at most 8 vertices.
+    on graphs with at most 8 vertices. The order-0 graph raises
+    :class:`InputError`.
     """
     _require_connected(g)
+    if g.n < 1:
+        raise InputError("brute force requires order >= 1")
     if g.n > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(
             f"brute force is limited to {BRUTE_FORCE_LIMIT} vertices"

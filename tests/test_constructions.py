@@ -158,6 +158,68 @@ class TestCoronaUpperColoring:
         assert str(exc.value) == message
 
 
+class TestSharedJoins:
+    """The three sandwich steps share one join K1 + H_t per component of H,
+    built once per H and cached on it."""
+
+    @pytest.fixture
+    def join_calls(self, monkeypatch):
+        lc.constructions._component_joins.cache_clear()
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return lc.join_with_k1(h)
+
+        monkeypatch.setattr(lc.constructions, "join_with_k1", counted)
+        yield calls
+        lc.constructions._component_joins.cache_clear()
+
+    @staticmethod
+    def chain(g, h):
+        bounds = lc.corona_bounds(g, h)
+        f, c_list = lc.optimal_upper_parts(g, h)
+        return bounds, (f, c_list), lc.corona_upper_coloring(g, h, f, c_list)
+
+    def test_one_join_per_component(self, join_calls):
+        g, h = lc.generate("path", 3), p2_union_c4()
+        self.chain(g, h)
+        assert join_calls == [lc.generate("path", 2), lc.generate("cycle", 4)]
+
+    def test_equal_h_gets_the_identical_joins(self, join_calls):
+        joins = lc.constructions._component_joins(p2_union_c4())
+        again = lc.constructions._component_joins(p2_union_c4())
+        assert all(a is b for a, b in zip(joins, again, strict=True))
+        assert len(join_calls) == 2
+
+    @pytest.mark.parametrize("g,h", [
+        (lc.generate("path", 3), p2_union_c4()),
+        (lc.generate("path", 2), lc.generate("empty", 3)),
+        (lc.generate("cycle", 4), lc.make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])),
+    ], ids=["P3-P2uC4", "P2-E3", "C4-paw"])
+    def test_outputs_match_an_uncached_chain(self, join_calls, g, h):
+        cached = self.chain(g, h)
+
+        def uncached(fn, *args):
+            lc.constructions._component_joins.cache_clear()
+            return fn(*args)
+
+        bounds = uncached(lc.corona_bounds, g, h)
+        f, c_list = uncached(lc.optimal_upper_parts, g, h)
+        upper = uncached(lc.corona_upper_coloring, g, h, f, c_list)
+        assert cached == (bounds, (f, c_list), upper)
+
+    def test_classifier_builds_no_family_graph(self, monkeypatch):
+        g3 = load_g3()
+
+        def refused(*args):
+            raise AssertionError(f"generate{args} called")
+
+        monkeypatch.setattr(lc.constructions, "generate", refused)
+        assert lc.pendant_tree_classifier(lc.generate("path", 7), g3) == 4
+        assert lc.pendant_tree_classifier(lc.generate("path", 3), g3) == 3
+
+
 class TestTheorem2Fixture:
     def test_codes_match_table(self):
         fx = lc.fixture_theorem2()

@@ -302,6 +302,22 @@ class TestComponents:
         assert lc.is_connected(lc.generate("cycle", 4))
 
 
+class TestInducedSubgraph:
+    def test_relabels_in_ascending_order(self):
+        sub = lc.induced_subgraph(lc.generate("cycle", 5), (4, 0, 1))
+        assert sub == lc.make_graph(3, [(0, 1), (0, 2)])
+
+    @pytest.mark.parametrize("vertices,message", [
+        ([0, 0, 1], "duplicate vertex"),
+        ([1, 99], "out of range"),
+        ([-1, 0], "out of range"),
+        ([True, 2], "integers"),
+    ], ids=["duplicate", "above", "negative", "bool"])
+    def test_bad_vertices_rejected(self, vertices, message):
+        with pytest.raises(lc.InputError, match=message):
+            lc.induced_subgraph(lc.generate("path", 4), vertices)
+
+
 class TestSubgraphIsomorphic:
     def test_p3_in_p6(self):
         assert lc.subgraph_isomorphic(lc.generate("path", 3), lc.generate("path", 6))

@@ -276,3 +276,7 @@ class TestBruteForce:
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             lc.brute_force_chi_L(lc.generate("path", 9))
+
+    def test_order_zero_rejected(self):
+        with pytest.raises(lc.InputError, match="order >= 1"):
+            lc.brute_force_chi_L(lc.generate("empty", 0))
