@@ -280,28 +280,36 @@ def bfs_distances(g: Graph, sources: Iterable) -> list:
     min over s in sources of d(v, s), in O(n + m) time; UNREACHABLE where
     no source reaches.
     """
-    adjacency = g.adjacency
-    dist = [UNREACHABLE] * g.n
-    frontier = list(sources)
-    for s in frontier:
-        dist[s] = 0
-    level = 0
-    while frontier:
-        level += 1
-        reached = []
-        for v in frontier:
-            for w in adjacency[v]:
-                if dist[w] == UNREACHABLE:
-                    dist[w] = level
-                    reached.append(w)
-        frontier = reached
-    return dist
+    return bfs_levels(g.adjacency, (list(sources),))[0]
+
+
+def bfs_levels(adjacency, source_sets) -> list:
+    """:func:`bfs_distances` from each of ``source_sets`` (sequences) in
+    turn, over an adjacency list that may have edges cut; one call for all
+    the passes, as a call per pass costs more than a small graph's BFS."""
+    n, rows = len(adjacency), []
+    for frontier in source_sets:
+        dist = [UNREACHABLE] * n
+        for s in frontier:
+            dist[s] = 0
+        level = 0
+        while frontier:
+            level += 1
+            reached = []
+            for v in frontier:
+                for w in adjacency[v]:
+                    if dist[w] == UNREACHABLE:
+                        dist[w] = level
+                        reached.append(w)
+            frontier = reached
+        rows.append(dist)
+    return rows
 
 
 def all_pairs_distances(g: Graph) -> list:
     """Hop distances by one BFS from every vertex: O(n(n + m)) time and
     O(n^2) memory; UNREACHABLE for no path."""
-    return [bfs_distances(g, (start,)) for start in range(g.n)]
+    return bfs_levels(g.adjacency, [(start,) for start in range(g.n)])
 
 
 def subgraph_isomorphic(pattern: Graph, host: Graph) -> bool:

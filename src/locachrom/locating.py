@@ -20,7 +20,7 @@ from .graphs import (
     InputError,
     SizeLimitError,
     all_pairs_distances,
-    bfs_distances,
+    bfs_levels,
     is_connected,
 )
 
@@ -50,6 +50,8 @@ class Coloring:
     colors: tuple
 
     def __post_init__(self):
+        if type(self.colors) is not tuple:
+            raise InputError("colors must be a tuple")
         if any(type(x) is not int for x in (self.k, *self.colors)):
             raise InputError("k and every color must be integers")
         if self.k < 1:
@@ -58,12 +60,6 @@ class Coloring:
             raise InputError(f"colors must lie in 1..{self.k}")
         if len(set(self.colors)) != self.k:
             raise InputError("coloring must use every color in 1..k")
-
-    def color_classes(self) -> list:
-        classes = [[] for _ in range(self.k)]
-        for v, c in enumerate(self.colors):
-            classes[c - 1].append(v)
-        return [tuple(cls) for cls in classes]
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "colors": list(self.colors)}
@@ -146,12 +142,45 @@ def color_codes(g: Graph, c: Coloring) -> list:
     """Per-vertex distance vectors to the k color classes.
 
     d(v, C) is v's level in one BFS started from every member of C at
-    once, so the codes take k BFS passes: O(k(n + m)) time and O(kn)
-    memory, with no all-pairs distance matrix.
+    once. A leaf p is *grouped* when its neighbour u has another leaf.
+    Every path from p leaves through u, so d(p, C) = 1 + d(u, C) for each
+    class C without p: p's code is u's plus one, with 0 at p's own color.
+    So the BFS walks the graph with grouped leaves cut from u's list (a
+    grouped leaf in C is still a source), and each grouped leaf copies
+    u's shifted row. That is O(k(n' + m') + nk) time and O(kn) memory,
+    n' and m' the order and size without grouped leaves, with no
+    all-pairs distance matrix.
     """
     _require_connected(g)
     _check_coloring_size(g, c)
-    return list(zip(*(bfs_distances(g, cls) for cls in c.color_classes())))
+    full, colors = g.adjacency, c.colors
+    classes = [[] for _ in range(c.k)]
+    ends = []  # the neighbour of each leaf
+    for v, nbrs in enumerate(full):
+        classes[colors[v] - 1].append(v)
+        if len(nbrs) == 1:
+            ends.append(nbrs[0])
+    hubs, adj = (), full  # hubs: the neighbours with two leaves or more
+    if len(set(ends)) < len(ends):
+        ends.sort()
+        hubs = {u for u, w in zip(ends, ends[1:]) if u == w}
+        adj = list(full)
+        for u in hubs:
+            adj[u] = [w for w in full[u] if len(full[w]) > 1]
+    # Each table is freed as soon as the next is built: the transpose holds
+    # the columns and the codes at once, the call's memory peak.
+    columns = bfs_levels(adj, classes)
+    del classes, ends
+    codes = list(zip(*columns))
+    del columns
+    if hubs:
+        rows = {u: [d + 1 for d in codes[u]] for u in hubs}
+        for p, nbrs in enumerate(full):
+            if len(nbrs) == 1 and nbrs[0] in rows:
+                row = list(rows[nbrs[0]])
+                row[colors[p] - 1] = 0
+                codes[p] = tuple(row)
+    return codes
 
 
 def verify(g: Graph, c: Coloring) -> VerificationReport:

@@ -24,6 +24,13 @@ def test_coloring_refuses_non_integers(k, colors):
         Coloring(k, colors)
 
 
+def test_coloring_refuses_a_list():
+    # A list would leave the coloring unhashable and open to change after
+    # the checks ran.
+    with pytest.raises(lc.InputError, match="must be a tuple"):
+        Coloring(2, [1, 2])
+
+
 def test_coloring_json_round_trip():
     c = Coloring(3, (1, 2, 3, 1))
     assert Coloring.from_json_dict({"k": 3, "colors": [1, 2, 3, 1]}) == c
@@ -76,6 +83,26 @@ class TestVerify:
         w = report.witness
         assert w["type"] == "monochromatic-edge"
         assert g.has_edge(w["u"], w["v"])
+
+    @pytest.mark.parametrize("colors,calls", [
+        ((1, 2, 1, 3), 1),  # locating
+        ((1, 2, 1, 2), 1),  # code collision
+        ((1, 1, 2, 3), 0),  # monochromatic edge: decided before any code
+    ], ids=["locating", "collision", "monochromatic"])
+    def test_codes_come_from_color_codes(self, monkeypatch, colors, calls):
+        # verify reads its codes through the public color_codes, the layer
+        # a traced benchmark run expects it to enter.
+        seen = []
+        color_codes = lc.locating.color_codes
+
+        def counting(g, c):
+            seen.append(c)
+            return color_codes(g, c)
+
+        monkeypatch.setattr(lc.locating, "color_codes", counting)
+        report = lc.verify(lc.generate("path", 4), Coloring(max(colors), colors))
+        assert report.locating == (colors == (1, 2, 1, 3))
+        assert len(seen) == calls
 
     def test_witness_recheck(self):
         # A collision witness must reproduce when the codes are recomputed.

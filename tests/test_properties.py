@@ -3,6 +3,7 @@
 import random
 from itertools import combinations
 
+import pytest
 from conftest import atlas_connected
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -319,10 +320,8 @@ def test_verify_witness_reproduces(g):
 def codes_by_definition(g, c):
     # Reference: d(v, C) as the minimum over C of an all-pairs matrix row.
     dist = lc.all_pairs_distances(g)
-    return [
-        tuple(min(dist[v][u] for u in cls) for cls in c.color_classes())
-        for v in range(g.n)
-    ]
+    classes = [[u for u in range(g.n) if c.colors[u] == i] for i in range(1, c.k + 1)]
+    return [tuple(min(dist[v][u] for u in cls) for cls in classes) for v in range(g.n)]
 
 
 def twins_by_definition(g):
@@ -352,6 +351,62 @@ def colorings(draw, n):
 def test_color_codes_match_distance_definition(data):
     g = data.draw(graphs(min_order=1, max_order=10, connected=True))
     c = data.draw(colorings(g.n))
+    assert lc.color_codes(g, c) == codes_by_definition(g, c)
+
+
+@st.composite
+def leaf_group_graphs(draw):
+    """Graphs whose leaves share a neighbour, relabelled: G (.) E_m, and
+    G (.) (K2 u E_m), where each center's leaves sit beside two satellites
+    that are not leaves. Plus K_{1,m}, every vertex but one a grouped leaf,
+    and P3, K2 (two leaves, no group) and K1."""
+    kind = draw(st.sampled_from(["edgeless", "edge-and-edgeless", "star", "tiny"]))
+    if kind == "star":
+        g = lc.generate("star", draw(st.integers(2, 7)))
+    elif kind == "tiny":
+        g = lc.generate("path", draw(st.integers(1, 3)))
+    else:
+        h = lc.generate("empty", draw(st.integers(1, 4)))
+        if kind == "edge-and-edgeless":
+            h = lc.disjoint_union(lc.generate("path", 2), h)
+        g, _ = lc.corona(draw(graphs(min_order=1, max_order=6, connected=True)), h)
+    perm = draw(st.permutations(range(g.n)))
+    return lc.make_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+@st.composite
+def leaf_tied_colorings(draw, g):
+    """Arbitrary colorings, improper ones included, in which a leaf often
+    takes the color of its neighbour or of a vertex beside it, such as a
+    leaf of its own group."""
+    raw = draw(st.lists(st.integers(1, g.n), min_size=g.n, max_size=g.n))
+    for p, nbrs in enumerate(g.adjacency):
+        if len(nbrs) == 1:
+            raw[p] = raw[draw(st.sampled_from([p, nbrs[0], *g.adjacency[nbrs[0]]]))]
+    # Renumber the colors used to 1..k by first appearance.
+    index = {}
+    colors = tuple(index.setdefault(x, len(index) + 1) for x in raw)
+    return Coloring(len(index), colors)
+
+
+@given(st.data())
+def test_color_codes_leaf_groups_match_distance_definition(data):
+    g = data.draw(leaf_group_graphs())
+    c = data.draw(leaf_tied_colorings(g))
+    assert lc.color_codes(g, c) == codes_by_definition(g, c)
+
+
+@pytest.mark.parametrize("family,order,colors", [
+    ("star", 4, (1, 1, 2, 2)),   # a leaf in its center's class; a class of grouped leaves only
+    ("star", 4, (1, 2, 2, 3)),   # two leaves of one group share a color
+    ("path", 3, (1, 2, 1)),
+    ("path", 3, (1, 1, 2)),
+    ("path", 2, (1, 1)),
+    ("path", 2, (1, 2)),
+    ("path", 1, (1,)),
+])
+def test_color_codes_leaf_groups_named_cases(family, order, colors):
+    g, c = lc.generate(family, order), Coloring(max(colors), colors)
     assert lc.color_codes(g, c) == codes_by_definition(g, c)
 
 
