@@ -154,14 +154,7 @@ def _cmd_bounds(args) -> tuple:
 
 
 def _cmd_theorem2(args) -> tuple:
-    fx = constructions.fixture_theorem2()
-    return EXIT_OK, {
-        "graph": graphs.serialize_graph(fx.graph),
-        "map": fx.corona_map.to_json_dict(),
-        "construction": fx.result.to_json_dict(),
-        "labels": list(fx.labels),
-        "codes": {label: list(code) for label, code in fx.expected_codes.items()},
-    }
+    return EXIT_OK, constructions.fixture_theorem2().to_json_dict()
 
 
 def _cmd_star(args) -> tuple:

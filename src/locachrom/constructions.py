@@ -8,9 +8,7 @@ handed back.
 from __future__ import annotations
 
 import functools
-import json
 import math
-import os
 from dataclasses import dataclass
 
 from .graphs import (
@@ -24,12 +22,14 @@ from .graphs import (
     induced_subgraph,
     is_connected,
     join_with_k1,
+    serialize_graph,
     subgraph_isomorphic,
 )
 from .locating import (
     DEFAULT_BUDGET,
     Coloring,
     chi_L,
+    color_codes,
     verify,
 )
 
@@ -79,7 +79,16 @@ class Theorem2Fixture:
     corona_map: CoronaMap
     result: ConstructionResult
     labels: tuple
-    expected_codes: dict
+    codes: dict
+
+    def to_json_dict(self) -> dict:
+        return {
+            "graph": serialize_graph(self.graph),
+            "map": self.corona_map.to_json_dict(),
+            "construction": self.result.to_json_dict(),
+            "labels": list(self.labels),
+            "codes": {label: list(code) for label, code in self.codes.items()},
+        }
 
 
 def _checked_result(source: str, g: Graph, coloring: Coloring) -> ConstructionResult:
@@ -206,29 +215,22 @@ def optimal_upper_parts(g: Graph, h: Graph, budget: int = DEFAULT_BUDGET) -> tup
     return f.certificate, c_list
 
 
-def _load_data(name: str):
-    # A path beside this module, not importlib.resources: that import alone
-    # loads some 25 more stdlib modules into every CLI start.
-    path = os.path.join(os.path.dirname(__file__), "data", name)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+#: The paper's 5-coloring of P3 (.) (P2 u C4), in the corona layout.
+_THEOREM2_COLORS = (5, 1, 3, 2, 4, 1, 2, 3, 4, 2, 4, 3, 2, 4, 5, 2, 4, 1, 4, 2, 5)
 
 
 def fixture_theorem2() -> Theorem2Fixture:
-    """Build and certify the 5-colored P3 (.) (P2 u C4) reference instance.
-
-    The coloring, the vertex labels and the code table are the shipped
-    ``theorem2_coloring.json`` and ``theorem2_codes.json``; only the graph
-    and its corona map are rebuilt here.
-    """
+    """Build and certify the 5-colored P3 (.) (P2 u C4) reference instance;
+    its code table is that of the verified coloring, by vertex label."""
     # H = P2 on {a=0, b=1} union C4 on {p=2, q=3, r=4, s=5}.
     h = disjoint_union(generate("path", 2), generate("cycle", 4))
     product, cmap = corona(generate("path", 3), h)
-    coloring = Coloring.from_json_dict(_load_data("theorem2_coloring.json"))
+    coloring = Coloring(5, _THEOREM2_COLORS)
     result = _checked_result("theorem2", product, coloring)
-    table = _load_data("theorem2_codes.json")
-    codes = {label: tuple(code) for label, code in table["codes"].items()}
-    return Theorem2Fixture(product, cmap, result, tuple(table["labels"]), codes)
+    labels = (*(f"({u})" for u in "uvw"),
+              *(f"({u},{x})" for u in "uvw" for x in "abpqrs"))
+    codes = dict(zip(labels, color_codes(product, coloring)))
+    return Theorem2Fixture(product, cmap, result, labels, codes)
 
 
 def empty_corona_coloring(g: Graph, k: int) -> ConstructionResult:

@@ -278,9 +278,13 @@ def bfs_distances(g: Graph, sources: Iterable) -> list:
 
     One BFS started from all sources at once, so entry v is
     min over s in sources of d(v, s), in O(n + m) time; UNREACHABLE where
-    no source reaches.
+    no source reaches. A source that is not an ``int`` (``bool`` included)
+    or lies outside 0..n-1 raises :class:`InputError`.
     """
-    return bfs_levels(g.adjacency, (list(sources),))[0]
+    sources = list(sources)
+    if not all(type(s) is int and 0 <= s < g.n for s in sources):
+        raise InputError(f"sources must be vertices in [0, {g.n}), got {sources!r}")
+    return bfs_levels(g.adjacency, (sources,))[0]
 
 
 def bfs_levels(adjacency, source_sets) -> list:

@@ -6,7 +6,9 @@ dropped its ``verified`` field. Two outputs changed since: ``fixture``
 JSON lost that key, and human ``corona`` gained the ``# map `` prefix that
 makes its map line a comment of the graph file. The human budget-exhausted
 ``chil``, both ``gen`` outputs and human ``fixture star 9`` were recorded
-later, before the CLI rendered its human text from the JSON payload.
+later, before the CLI rendered its human text from the JSON payload. Both
+``fixture theorem2`` outputs were recorded while the bundle was still read
+from data files, before it was computed from the paper's coloring.
 Both budget-5 ``chil`` intervals on P4 (.) P3 rose from [3, 16] to
 [4, 16] when the search began to refute k = 3 without a node: the two
 ends of a P3 copy are twins, so with its middle and the center they
@@ -47,6 +49,11 @@ def _inputs() -> dict:
         "p4-collision.json": '{"k": 2, "colors": [1, 2, 1, 2]}',
     }
 
+
+#: The one JSON line that ``fixture theorem2`` prints in both formats.
+THEOREM2_BUNDLE = (
+    '{"codes": {"(u)": [1, 1, 1, 1, 0], "(u,a)": [2, 0, 2, 1, 1], "(u,b)": [2, 1, 2, 0, 1], "(u,p)": [0, 1, 2, 1, 1], "(u,q)": [1, 0, 1, 2, 1], "(u,r)": [2, 1, 0, 1, 1], "(u,s)": [1, 2, 1, 0, 1], "(v)": [0, 1, 1, 1, 1], "(v,a)": [1, 0, 2, 1, 2], "(v,b)": [1, 1, 2, 0, 2], "(v,p)": [1, 1, 0, 2, 1], "(v,q)": [1, 0, 1, 1, 2], "(v,r)": [1, 1, 2, 0, 1], "(v,s)": [1, 2, 1, 1, 0], "(w)": [1, 1, 0, 1, 1], "(w,a)": [2, 0, 1, 1, 2], "(w,b)": [2, 1, 1, 0, 2], "(w,p)": [0, 2, 1, 1, 1], "(w,q)": [1, 1, 1, 0, 2], "(w,r)": [2, 0, 1, 1, 1], "(w,s)": [1, 1, 1, 2, 0]}, "construction": {"colors": [5, 1, 3, 2, 4, 1, 2, 3, 4, 2, 4, 3, 2, 4, 5, 2, 4, 1, 4, 2, 5], "k": 5, "source": "theorem2"}, "graph": "n 21\\ne 0 1\\ne 0 3\\ne 0 4\\ne 0 5\\ne 0 6\\ne 0 7\\ne 0 8\\ne 1 2\\ne 1 9\\ne 1 10\\ne 1 11\\ne 1 12\\ne 1 13\\ne 1 14\\ne 2 15\\ne 2 16\\ne 2 17\\ne 2 18\\ne 2 19\\ne 2 20\\ne 3 4\\ne 5 6\\ne 5 8\\ne 6 7\\ne 7 8\\ne 9 10\\ne 11 12\\ne 11 14\\ne 12 13\\ne 13 14\\ne 15 16\\ne 17 18\\ne 17 20\\ne 18 19\\ne 19 20\\n", "labels": ["(u)", "(v)", "(w)", "(u,a)", "(u,b)", "(u,p)", "(u,q)", "(u,r)", "(u,s)", "(v,a)", "(v,b)", "(v,p)", "(v,q)", "(v,r)", "(v,s)", "(w,a)", "(w,b)", "(w,p)", "(w,q)", "(w,r)", "(w,s)"], "map": {"centers": [0, 1, 2], "satellites": [{"g": 0, "h": 0, "idx": 3, "t": 1}, {"g": 0, "h": 1, "idx": 4, "t": 1}, {"g": 0, "h": 2, "idx": 5, "t": 2}, {"g": 0, "h": 3, "idx": 6, "t": 2}, {"g": 0, "h": 4, "idx": 7, "t": 2}, {"g": 0, "h": 5, "idx": 8, "t": 2}, {"g": 1, "h": 0, "idx": 9, "t": 1}, {"g": 1, "h": 1, "idx": 10, "t": 1}, {"g": 1, "h": 2, "idx": 11, "t": 2}, {"g": 1, "h": 3, "idx": 12, "t": 2}, {"g": 1, "h": 4, "idx": 13, "t": 2}, {"g": 1, "h": 5, "idx": 14, "t": 2}, {"g": 2, "h": 0, "idx": 15, "t": 1}, {"g": 2, "h": 1, "idx": 16, "t": 1}, {"g": 2, "h": 2, "idx": 17, "t": 2}, {"g": 2, "h": 3, "idx": 18, "t": 2}, {"g": 2, "h": 4, "idx": 19, "t": 2}, {"g": 2, "h": 5, "idx": 20, "t": 2}]}}\n'
+)
 
 #: id -> (argv, exit code, stdout). An argv entry ``@name`` is the path of
 #: input file ``name``.
@@ -126,6 +133,14 @@ GOLDEN = {
     'fixture-human-star-9': (
         ['fixture', 'star', '9'],
         0, '{"construction": {"colors": [1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4, 3, 1, 4, 2, 1, 3, 2], "k": 4, "source": "star-corona"}}\n',
+    ),
+    'fixture-human-theorem2': (
+        ['fixture', 'theorem2'],
+        0, THEOREM2_BUNDLE,
+    ),
+    'fixture-json-theorem2': (
+        ['--format', 'json', 'fixture', 'theorem2'],
+        0, THEOREM2_BUNDLE,
     ),
     'fixture-star-9': (
         ['--format', 'json', 'fixture', 'star', '9'],

@@ -1,14 +1,20 @@
 """Constructive colorings, bound formulas, and the tree classifiers."""
 
+import builtins
 import json
 import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import locachrom as lc
 from locachrom.constructions import ConstructionError
 from locachrom.locating import Coloring
+
+
+#: Holds the paper's Theorem-2 graph and code table, transcribed.
+DATA = Path(__file__).parent / "data"
 
 
 def load_g3() -> lc.Graph:
@@ -225,7 +231,7 @@ class TestTheorem2Fixture:
         fx = lc.fixture_theorem2()
         codes = lc.color_codes(fx.graph, fx.result.coloring)
         for v in range(fx.graph.n):
-            assert codes[v] == fx.expected_codes[fx.labels[v]], fx.labels[v]
+            assert codes[v] == fx.codes[fx.labels[v]], fx.labels[v]
 
     def test_verified_with_five_colors(self):
         fx = lc.fixture_theorem2()
@@ -233,15 +239,12 @@ class TestTheorem2Fixture:
         assert lc.verify(fx.graph, fx.result.coloring).locating
 
     def test_shipped_data_files_match(self):
-        # The fixture reads its coloring, labels and codes from the data
-        # files; what it rebuilds (graph, map) must agree with the files,
-        # and the labels must name the vertices the map says they are.
+        # The bundle is computed from the paper's coloring; it must equal
+        # the paper's transcribed graph, map and code table, and the labels
+        # must name the vertices the map says they are.
         fx = lc.fixture_theorem2()
-        data_dir = resources.files("locachrom.data")
-        assert lc.parse_graph(
-            data_dir.joinpath("theorem2_graph.txt").read_text()
-        ) == fx.graph
-        table = json.loads(data_dir.joinpath("theorem2_codes.json").read_text())
+        assert lc.parse_graph((DATA / "theorem2_graph.txt").read_text()) == fx.graph
+        table = json.loads((DATA / "theorem2_codes.json").read_text())
         cmap = fx.corona_map.to_json_dict()
         assert table["map"] == cmap
         centers, copy = "uvw", "abpqrs"
@@ -250,11 +253,17 @@ class TestTheorem2Fixture:
             labels[idx] = f"({centers[u]})"
         for sat in cmap["satellites"]:
             labels[sat["idx"]] = f"({centers[sat['g']]},{copy[sat['h']]})"
-        assert list(fx.labels) == labels
-        codes = lc.color_codes(fx.graph, fx.result.coloring)
+        assert list(fx.labels) == labels == table["labels"]
         assert table["codes"] == {
-            labels[v]: list(code) for v, code in enumerate(codes)
+            label: list(code) for label, code in fx.codes.items()
         }
+
+    def test_opens_no_file(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"open{args} called")
+
+        monkeypatch.setattr(builtins, "open", refused)
+        assert lc.fixture_theorem2().result.coloring.k == 5
 
     def test_independent_of_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -437,6 +437,16 @@ def test_multi_source_bfs_is_nearest_source(g, data):
     assert lc.bfs_distances(g, sources) == expected
 
 
+@pytest.mark.parametrize("source", [-1, True, 7, 4, 1.0, None])
+def test_bfs_distances_rejects_non_vertex_sources(source):
+    with pytest.raises(lc.InputError):
+        lc.bfs_distances(lc.generate("path", 4), [0, source])
+
+
+def test_bfs_distances_without_sources():
+    assert lc.bfs_distances(lc.generate("path", 4), []) == [lc.UNREACHABLE] * 4
+
+
 _graph_tokens = st.sampled_from(
     ["n", "e", "#", "0", "1", "2", "10", "-1", "1_0", "\u00b2", "\u0661", "x", " ", "\n"]
 )
