@@ -186,8 +186,13 @@ def color_codes(g: Graph, c: Coloring) -> list:
 def verify(g: Graph, c: Coloring) -> VerificationReport:
     """Check properness and code distinctness; failures carry a witness.
 
-    Costs O(k(n + m)): one pass over the edges for the least monochromatic
-    one (u, v), u < v, then :func:`color_codes`.
+    One pass over the edges finds the least monochromatic one (u, v),
+    u < v. Under a proper coloring, v's code has its only 0 at v's color
+    and its 1s exactly at the colors of v's neighbours, so vertices whose
+    keys (color, set of neighbour colors) differ have distinct codes.
+    When all n keys differ, the coloring is locating at O(n + m) cost;
+    otherwise :func:`color_codes`, O(k(n + m)), finds the first repeated
+    code in vertex order, which only vertices with equal keys can share.
     """
     _require_connected(g)
     _check_coloring_size(g, c)
@@ -197,6 +202,11 @@ def verify(g: Graph, c: Coloring) -> VerificationReport:
         u, v = mono
         witness = {"type": "monochromatic-edge", "u": u, "v": v, "color": colors[u]}
         return VerificationReport(False, False, witness)
+    keys = set()
+    for v, nbrs in enumerate(g.adjacency):
+        keys.add((colors[v], frozenset(map(colors.__getitem__, nbrs))))
+    if len(keys) == g.n:
+        return VerificationReport(True, True, None)
     codes = color_codes(g, c)
     seen = {}
     for v, code in enumerate(codes):

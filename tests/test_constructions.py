@@ -265,6 +265,21 @@ class TestTheorem2Fixture:
         monkeypatch.setattr(builtins, "open", refused)
         assert lc.fixture_theorem2().result.coloring.k == 5
 
+    def test_codes_computed_once(self, monkeypatch):
+        # verify certifies the paper's coloring from its (color, neighbour
+        # colors) keys, so the fixture's code table is the only code pass.
+        calls = []
+        real = lc.locating.color_codes
+
+        def counting(g, c):
+            calls.append(c)
+            return real(g, c)
+
+        for module in (lc.locating, lc.constructions):
+            monkeypatch.setattr(module, "color_codes", counting)
+        lc.fixture_theorem2()
+        assert len(calls) == 1
+
     def test_independent_of_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         fx = lc.fixture_theorem2()

@@ -84,14 +84,18 @@ class TestVerify:
         assert w["type"] == "monochromatic-edge"
         assert g.has_edge(w["u"], w["v"])
 
-    @pytest.mark.parametrize("colors,calls", [
-        ((1, 2, 1, 3), 1),  # locating
-        ((1, 2, 1, 2), 1),  # code collision
-        ((1, 1, 2, 3), 0),  # monochromatic edge: decided before any code
-    ], ids=["locating", "collision", "monochromatic"])
-    def test_codes_come_from_color_codes(self, monkeypatch, colors, calls):
-        # verify reads its codes through the public color_codes, the layer
-        # a traced benchmark run expects it to enter.
+    @pytest.mark.parametrize("colors,locating,calls", [
+        # Keys (color, neighbour colors) all differ: locating without codes.
+        ((1, 2, 1, 3), True, 0),
+        # Vertices 0 and 2 share the key (1, {2}) but not the code:
+        # (0, 1, 4) against (0, 1, 2).
+        ((1, 2, 1, 2, 3), True, 1),
+        ((1, 2, 1, 2), False, 1),  # code collision
+        ((1, 1, 2, 3), False, 0),  # monochromatic edge: decided before any code
+    ], ids=["locating", "locating-tie", "collision", "monochromatic"])
+    def test_codes_come_from_color_codes(self, monkeypatch, colors, locating, calls):
+        # On a key tie, verify reads its codes through the public
+        # color_codes, the layer a traced benchmark run expects it to enter.
         seen = []
         color_codes = lc.locating.color_codes
 
@@ -100,8 +104,9 @@ class TestVerify:
             return color_codes(g, c)
 
         monkeypatch.setattr(lc.locating, "color_codes", counting)
-        report = lc.verify(lc.generate("path", 4), Coloring(max(colors), colors))
-        assert report.locating == (colors == (1, 2, 1, 3))
+        g = lc.generate("path", len(colors))
+        report = lc.verify(g, Coloring(max(colors), colors))
+        assert report.locating == locating
         assert len(seen) == calls
 
     def test_witness_recheck(self):
@@ -192,19 +197,29 @@ class TestPinnedWitnesses:
 
 
 def test_locating_layer_needs_no_all_pairs_distances(monkeypatch):
-    # verify, color_codes and twin_classes cost O(k(n + m)) or less; on a
+    # color_codes costs O(k(n + m)) and twin_classes O(n + m); on a
     # 1,600-vertex product an all-pairs matrix would be 2.56M entries.
+    # verify decides both paper colorings below from the (color, neighbour
+    # colors) keys alone, in O(n + m), without computing any code.
     def quadratic(g):
         raise AssertionError("all-pairs distances computed")
 
+    def codes(g, c):
+        raise AssertionError("color codes computed")
+
     for module in (lc, lc.graphs, lc.locating):
         monkeypatch.setattr(module, "all_pairs_distances", quadratic)
-    result = lc.star_corona_coloring(800)
-    c = result.coloring
+    color_codes = lc.locating.color_codes
+    monkeypatch.setattr(lc.locating, "color_codes", codes)
+    c = lc.star_corona_coloring(800).coloring
     prod, _ = lc.corona(lc.generate("star", 800), lc.generate("empty", 1))
     assert prod.n == 1600
     assert lc.verify(prod, c).locating
-    assert len(set(lc.color_codes(prod, c))) == prod.n
+    c41 = lc.empty_corona_coloring(lc.generate("path", 41), 40).coloring
+    prod41, _ = lc.corona(lc.generate("path", 41), lc.generate("empty", 40))
+    assert prod41.n == 1681
+    assert lc.verify(prod41, c41).locating
+    assert len(set(color_codes(prod, c))) == prod.n
     classes = lc.twin_classes(prod)
     assert len(classes) == prod.n  # every vertex of a corona with K1 is alone
 

@@ -317,6 +317,61 @@ def test_verify_witness_reproduces(g):
         assert codes[w["u"]] == codes[w["v"]] == tuple(w["code"])
 
 
+def verify_by_definition(g, c):
+    # Reference: the least monochromatic edge, else the first repeated code
+    # in vertex order among codes taken from an all-pairs matrix.
+    mono = [(u, v) for u, v in sorted(g.edges) if c.colors[u] == c.colors[v]]
+    if mono:
+        u, v = mono[0]
+        witness = {"type": "monochromatic-edge", "u": u, "v": v, "color": c.colors[u]}
+        return lc.VerificationReport(False, False, witness)
+    first = {}
+    for v, code in enumerate(codes_by_definition(g, c)):
+        if code in first:
+            witness = {"type": "code-collision", "u": first[code], "v": v, "code": list(code)}
+            return lc.VerificationReport(True, False, witness)
+        first[code] = v
+    return lc.VerificationReport(True, True, None)
+
+
+@st.composite
+def sparse_graphs(draw, max_order=10):
+    # A random tree, vertex i hung below one of 0..i-1, plus up to two
+    # chords: proper colorings and (color, neighbour colors) key ties are
+    # common here, unlike on graphs() of density 1/2.
+    n = draw(st.integers(2, max_order))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += [(u, v) for u, v in draw(st.lists(pairs, max_size=2)) if u != v]
+    return lc.make_graph(n, edges)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_verify_report_matches_definition(data):
+    # The whole report, locating verdicts included: a coloring declared
+    # locating from its (color, neighbour colors) keys must have distinct
+    # codes, and any other verdict must carry the reference's witness.
+    g = data.draw(st.one_of(
+        sparse_graphs(), graphs(min_order=2, max_order=9, connected=True)
+    ))
+    # Most draws avoid the colors of each vertex's earlier neighbours while
+    # the palette allows, so proper colorings are common; the rest color
+    # freely. Renaming the colors in order of first use makes every
+    # coloring surjective.
+    palette = range(1, data.draw(st.integers(2, g.n)) + 1)
+    avoid = data.draw(st.integers(0, 3)) > 0
+    raw = []
+    for v, nbrs in enumerate(g.adjacency):
+        taken = {raw[w] for w in nbrs if w < v} if avoid else ()
+        free = [x for x in palette if x not in taken] or palette
+        raw.append(data.draw(st.sampled_from(free)))
+    rename = {}
+    colors = tuple(rename.setdefault(x, len(rename) + 1) for x in raw)
+    c = Coloring(len(rename), colors)
+    assert lc.verify(g, c) == verify_by_definition(g, c)
+
+
 def codes_by_definition(g, c):
     # Reference: d(v, C) as the minimum over C of an all-pairs matrix row.
     dist = lc.all_pairs_distances(g)
