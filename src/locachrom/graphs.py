@@ -60,11 +60,15 @@ class Graph:
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(b)) for b in nbrs)
+        for b in nbrs:
+            b.sort()
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def connected(self) -> bool:
-        """One BFS on first use; read it through :func:`is_connected`."""
+        """One BFS on first use, unless the builder recorded it (as
+        :func:`generate`, :func:`join_with_k1` and :func:`corona` do);
+        read it through :func:`is_connected`."""
         return self.n == 0 or UNREACHABLE not in bfs_distances(self, (0,))
 
     @property
@@ -131,13 +135,13 @@ def make_graph(n: int, edges: Iterable) -> Graph:
 
 
 #: The families that :func:`generate` builds, one row each: the parameter
-#: names, the least value of each, and the order, size and edge list as
-#: functions of the parameters.
+#: names, the least value of each, and the order, size and normalized edge
+#: list as functions of the parameters.
 FAMILIES = {
     "path": (("n",), 1, lambda n: n, lambda n: n - 1,
              lambda n: [(i, i + 1) for i in range(n - 1)]),
     "cycle": (("n",), 3, lambda n: n, lambda n: n,
-              lambda n: [(i, (i + 1) % n) for i in range(n)]),
+              lambda n: [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]),
     "star": (("n",), 2, lambda n: n, lambda n: n - 1,
              lambda n: [(0, i) for i in range(1, n)]),
     "complete": (("n",), 1, lambda n: n, lambda n: n * (n - 1) // 2,
@@ -172,7 +176,10 @@ def generate(family: str, *params: int) -> Graph:
         raise InputError(f"size {m} exceeds the limit {MAX_SIZE}")
     if min(params) < least:
         raise InputError(f"{family} requires {', '.join(names)} >= {least}")
-    return make_graph(n, edges(*params))
+    g = Graph(n, frozenset(edges(*params)))
+    # Every row is connected but the edgeless one of order 2 or more.
+    g.__dict__["connected"] = family != "empty" or n < 2
+    return g
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -187,7 +194,9 @@ def join_with_k1(h: Graph) -> Graph:
     apex = h.n
     edges = set(h.edges)
     edges.update((v, apex) for v in range(h.n))
-    return Graph(h.n + 1, frozenset(edges))
+    g = Graph(h.n + 1, frozenset(edges))
+    g.__dict__["connected"] = True  # the apex reaches every vertex
+    return g
 
 
 def connected_components(g: Graph) -> list:
@@ -270,7 +279,10 @@ def corona(g: Graph, h: Graph) -> tuple:
     n, m = g.n, h.n
     edges = [*g.edges, *[((s - n) // m, s) for s in range(n, order)]]
     edges += [(c + a, c + b) for a, b in copy_edges for c in range(n, order, m)]
-    return Graph(order, frozenset(edges)), CoronaMap(n, tuple(comps))
+    product = Graph(order, frozenset(edges))
+    # Every satellite is adjacent to its center: G (.) H is connected iff G is.
+    product.__dict__["connected"] = g.connected
+    return product, CoronaMap(n, tuple(comps))
 
 
 def bfs_distances(g: Graph, sources: Iterable) -> list:
@@ -395,11 +407,26 @@ def parse_graph(text: str) -> Graph:
     n = None
     edges = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if len(parts) == 3 and parts[0] == "e" and n is not None:
+            # The common line: endpoints of at most six ASCII digits, far
+            # below int's digit limit, are read inline; any other token
+            # gets _parse_count's checks and messages.
+            a, b = parts[1], parts[2]
+            if (a.isdigit() and b.isdigit() and a.isascii() and b.isascii()
+                    and len(a) <= 6 and len(b) <= 6):
+                u, v = int(a), int(b)
+            else:
+                u = _parse_count(a, "endpoint", line_no)
+                v = _parse_count(b, "endpoint", line_no)
+            if u == v:
+                raise ParseError(f"loop at vertex {u}", line_no)
+            if u >= n or v >= n:
+                raise ParseError(f"endpoint out of range [0, {n})", line_no)
+            edges.append((u, v) if u < v else (v, u))
+        elif not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "n":
+        elif parts[0] == "n":
             if n is not None:
                 raise ParseError("duplicate 'n' line", line_no)
             if len(parts) != 2:
@@ -412,17 +439,9 @@ def parse_graph(text: str) -> Graph:
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("'e' line before 'n' line", line_no)
-            if len(parts) != 3:
-                raise ParseError("expected 'e <u> <v>'", line_no)
-            u = _parse_count(parts[1], "endpoint", line_no)
-            v = _parse_count(parts[2], "endpoint", line_no)
-            if u == v:
-                raise ParseError(f"loop at vertex {u}", line_no)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"endpoint out of range [0, {n})", line_no)
-            edges.append((u, v))
+            raise ParseError("expected 'e <u> <v>'", line_no)
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", line_no)
     if n is None:
         raise ParseError("missing 'n' line", 1)
-    return make_graph(n, edges)
+    return Graph(n, frozenset(edges))

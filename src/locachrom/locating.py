@@ -9,6 +9,7 @@ least k admitting a locating k-coloring.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -50,15 +51,16 @@ class Coloring:
     colors: tuple
 
     def __post_init__(self):
-        if type(self.colors) is not tuple:
+        k, colors = self.k, self.colors
+        if type(colors) is not tuple:
             raise InputError("colors must be a tuple")
-        if any(type(x) is not int for x in (self.k, *self.colors)):
+        if type(k) is not int or not set(map(type, colors)) <= {int}:
             raise InputError("k and every color must be integers")
-        if self.k < 1:
-            raise InputError(f"color count must be positive, got {self.k}")
-        if any(not (1 <= c <= self.k) for c in self.colors):
-            raise InputError(f"colors must lie in 1..{self.k}")
-        if len(set(self.colors)) != self.k:
+        if k < 1:
+            raise InputError(f"color count must be positive, got {k}")
+        if colors and (min(colors) < 1 or max(colors) > k):
+            raise InputError(f"colors must lie in 1..{k}")
+        if len(set(colors)) != k:
             raise InputError("coloring must use every color in 1..k")
 
     def to_json_dict(self) -> dict:
@@ -138,8 +140,9 @@ def _check_coloring_size(g: Graph, c: Coloring):
         )
 
 
-def color_codes(g: Graph, c: Coloring) -> list:
-    """Per-vertex distance vectors to the k color classes.
+def color_codes(g: Graph, c: Coloring, vertices=None) -> list:
+    """Per-vertex distance vectors to the k color classes: every vertex's,
+    or with ``vertices`` (a list of vertices) theirs alone, in that order.
 
     d(v, C) is v's level in one BFS started from every member of C at
     once. A leaf p is *grouped* when its neighbour u has another leaf.
@@ -149,11 +152,16 @@ def color_codes(g: Graph, c: Coloring) -> list:
     grouped leaf in C is still a source), and each grouped leaf copies
     u's shifted row. That is O(k(n' + m') + nk) time and O(kn) memory,
     n' and m' the order and size without grouped leaves, with no
-    all-pairs distance matrix.
+    all-pairs distance matrix; t rows of ``vertices`` cost
+    O(k(n' + m') + n + tk). A listed vertex that is not an ``int``
+    (``bool`` included) or lies outside 0..n-1 raises :class:`InputError`.
     """
     _require_connected(g)
     _check_coloring_size(g, c)
     full, colors = g.adjacency, c.colors
+    if vertices and not (set(map(type, vertices)) <= {int}
+                         and 0 <= min(vertices) and max(vertices) < g.n):
+        raise InputError(f"vertices must lie in [0, {g.n}), got {vertices!r}")
     classes = [[] for _ in range(c.k)]
     ends = []  # the neighbour of each leaf
     for v, nbrs in enumerate(full):
@@ -171,45 +179,54 @@ def color_codes(g: Graph, c: Coloring) -> list:
     # the columns and the codes at once, the call's memory peak.
     columns = bfs_levels(adj, classes)
     del classes, ends
+    rows = {u: [col[u] + 1 for col in columns] for u in hubs}
+    if vertices is None:
+        vertices = range(g.n)
+    else:
+        columns = [list(map(col.__getitem__, vertices)) for col in columns]
     codes = list(zip(*columns))
     del columns
     if hubs:
-        rows = {u: [d + 1 for d in codes[u]] for u in hubs}
-        for p, nbrs in enumerate(full):
+        for i, p in enumerate(vertices):
+            nbrs = full[p]
             if len(nbrs) == 1 and nbrs[0] in rows:
                 row = list(rows[nbrs[0]])
                 row[colors[p] - 1] = 0
-                codes[p] = tuple(row)
+                codes[i] = tuple(row)
     return codes
 
 
 def verify(g: Graph, c: Coloring) -> VerificationReport:
     """Check properness and code distinctness; failures carry a witness.
 
-    One pass over the edges finds the least monochromatic one (u, v),
-    u < v. Under a proper coloring, v's code has its only 0 at v's color
-    and its 1s exactly at the colors of v's neighbours, so vertices whose
-    keys (color, set of neighbour colors) differ have distinct codes.
-    When all n keys differ, the coloring is locating at O(n + m) cost;
-    otherwise :func:`color_codes`, O(k(n + m)), finds the first repeated
-    code in vertex order, which only vertices with equal keys can share.
+    One pass builds every vertex's set of neighbour colors. The coloring
+    is proper when no vertex's set holds its own color; otherwise a pass
+    over the edges finds the least monochromatic one (u, v), u < v. Under
+    a proper coloring, v's code has its only 0 at v's color and its 1s
+    exactly at the colors of v's neighbours, so vertices whose keys
+    (color, set of neighbour colors) differ have distinct codes. When all
+    n keys differ, the coloring is locating at O(n + m) cost. Otherwise
+    only the t vertices with a shared key can share a code:
+    :func:`color_codes` builds their rows, O(k(n' + m') + n + tk), and
+    the first repeat among them in vertex order is the first in g.
     """
     _require_connected(g)
     _check_coloring_size(g, c)
     colors = c.colors
-    mono = min((e for e in g.edges if colors[e[0]] == colors[e[1]]), default=None)
-    if mono is not None:
-        u, v = mono
+    around = list(map(frozenset, map(map, itertools.repeat(colors.__getitem__),
+                                     g.adjacency)))
+    if any(map(operator.contains, around, colors)):
+        u, v = min(e for e in g.edges if colors[e[0]] == colors[e[1]])
         witness = {"type": "monochromatic-edge", "u": u, "v": v, "color": colors[u]}
         return VerificationReport(False, False, witness)
-    keys = set()
-    for v, nbrs in enumerate(g.adjacency):
-        keys.add((colors[v], frozenset(map(colors.__getitem__, nbrs))))
-    if len(keys) == g.n:
+    if len(set(zip(colors, around))) == g.n:
         return VerificationReport(True, True, None)
-    codes = color_codes(g, c)
+    keys = collections.Counter(zip(colors, around))
+    tied = list(itertools.compress(
+        range(g.n), map((1).__lt__, map(keys.__getitem__, zip(colors, around)))
+    ))
     seen = {}
-    for v, code in enumerate(codes):
+    for v, code in zip(tied, color_codes(g, c, tied)):
         if code in seen:
             witness = {
                 "type": "code-collision",

@@ -61,6 +61,21 @@ def random_connected_graph(rng: random.Random, max_order: int) -> lc.Graph:
             return g
 
 
+def bfs_connected(g: lc.Graph) -> bool:
+    """g's connectivity by BFS: a fresh Graph carries none recorded."""
+    return lc.is_connected(lc.Graph(g.n, g.edges))
+
+
+def recorded_connectivity(g: lc.Graph) -> bool:
+    """is_connected(g) with every BFS refused: what g's builder recorded."""
+    def refused(graph, sources):
+        raise AssertionError("is_connected ran a BFS")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lc.graphs, "bfs_distances", refused)
+        return lc.is_connected(g)
+
+
 def _canonical(g: lc.Graph) -> tuple:
     best = None
     for perm in permutations(range(g.n)):
@@ -91,11 +106,13 @@ def connected_graphs_up_to_iso(n: int) -> list:
 
 @pytest.fixture
 def refuse_graph_build(monkeypatch):
-    """Fail on any call of make_graph, so that an order cap is tested
-    without ever building the large graph."""
+    """Fail on any graph that graphs.py builds, through make_graph or the
+    Graph constructor, so that an order cap is tested without ever
+    building the large graph."""
     def refuse(*args):
-        raise AssertionError("a graph above MAX_ORDER reached make_graph")
+        raise AssertionError("a graph above its cap reached the constructor")
     monkeypatch.setattr(lc.graphs, "make_graph", refuse)
+    monkeypatch.setattr(lc.graphs, "Graph", refuse)
 
 
 @pytest.fixture(scope="session")

@@ -2,12 +2,12 @@
 
 import re
 import sys
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import networkx as nx
 import pytest
-from conftest import from_networkx
+from conftest import bfs_connected, from_networkx, recorded_connectivity
 
 import locachrom as lc
 from locachrom.graphs import FAMILIES, ParseError, SizeLimitError
@@ -162,6 +162,15 @@ class TestGenerate:
             g = lc.generate(family, n)
             assert g == from_networkx(expected(n)), (family, n)
             assert (g.n, g.num_edges) == (order(n), size(n)), (family, n)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_recorded_connectivity_matches_bfs(self, family):
+        # Every row but empty with n >= 2 is connected; generate records
+        # it, so is_connected runs no BFS on a generated graph.
+        names, least = FAMILIES[family][:2]
+        for params in product(range(least, least + 4), repeat=len(names)):
+            g = lc.generate(family, *params)
+            assert recorded_connectivity(g) == bfs_connected(g)
 
     def test_double_star_rows(self):
         _, least, order, size, _ = FAMILIES["double_star"]
@@ -370,6 +379,14 @@ class TestSerialization:
             lc.parse_graph(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("lines,edges", [
+        ("e 2 0\ne 1 0\n", [(2, 0), (1, 0)]),
+        ("e 0 1\ne 1 0\ne 0 1\ne 2 1\n", [(0, 1), (1, 0), (0, 1), (2, 1)]),
+        ("e 0000002 00001\n", [(2, 1)]),
+    ], ids=["reversed", "duplicate", "zero-padded"])
+    def test_parse_matches_make_graph(self, lines, edges):
+        assert lc.parse_graph("n 3\n" + lines) == lc.make_graph(3, edges)
+
     def test_superscript_order_rejected(self):
         # '²' passes str.isdigit() but int() cannot read it.
         with pytest.raises(ParseError, match="line 1"):
@@ -397,6 +414,19 @@ class TestSerialization:
     def test_order_beyond_digit_limit_rejected(self):
         with pytest.raises(ParseError, match="too many digits"):
             lc.parse_graph("n " + "9" * 5000 + "\n")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="this interpreter has no integer-string digit limit",
+    )
+    @pytest.mark.parametrize("token", ["0" * 4400 + "1", "9" * 5000])
+    def test_endpoint_beyond_digit_limit_rejected(self, token):
+        # Vertex 1 written with 4,401 digits is refused like any other
+        # endpoint past the limit, not read as 1.
+        for text in (f"n 3\ne {token} 2\n", f"n 3\ne 2 {token}\n"):
+            with pytest.raises(ParseError) as exc:
+                lc.parse_graph(text)
+            assert str(exc.value) == "line 2: endpoint has too many digits"
 
     def test_order_above_cap_refused(self, refuse_graph_build):
         with pytest.raises(ParseError, match="line 1: order 100000000 exceeds"):

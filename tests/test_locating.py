@@ -31,6 +31,23 @@ def test_coloring_refuses_a_list():
         Coloring(2, [1, 2])
 
 
+@pytest.mark.parametrize("k,colors,message", [
+    (2.0, (1, 2), "k and every color must be integers"),
+    (2, (1, True), "k and every color must be integers"),
+    (2, (1, 3), "colors must lie in 1..2"),
+    (2, (0, 1, 2), "colors must lie in 1..2"),
+    (0, (), "color count must be positive, got 0"),
+    (-1, (5,), "color count must be positive, got -1"),
+    (3, (1, 2, 1), "coloring must use every color in 1..k"),
+    (1, (), "coloring must use every color in 1..k"),
+], ids=["float-k", "bool-color", "above-k", "zero-color", "zero-k", "negative-k",
+        "not-surjective", "no-colors"])
+def test_coloring_refusal_messages(k, colors, message):
+    with pytest.raises(lc.InputError) as exc:
+        Coloring(k, colors)
+    assert str(exc.value) == message
+
+
 def test_coloring_json_round_trip():
     c = Coloring(3, (1, 2, 3, 1))
     assert Coloring.from_json_dict({"k": 3, "colors": [1, 2, 3, 1]}) == c
@@ -58,6 +75,19 @@ class TestColorCodes:
         with pytest.raises(DisconnectedGraphError):
             lc.color_codes(lc.generate("empty", 2), Coloring(2, (1, 2)))
 
+    def test_rows_of_listed_vertices(self):
+        # Leaves 1..3 of the star are grouped: their rows are the
+        # center's plus one, with 0 at their own color.
+        g, c = lc.generate("star", 4), Coloring(3, (1, 2, 3, 2))
+        full = lc.color_codes(g, c)
+        assert lc.color_codes(g, c, [3, 0, 3]) == [full[3], full[0], full[3]]
+        assert lc.color_codes(g, c, []) == []
+
+    @pytest.mark.parametrize("vertices", [[-1], [4], [True], [1.0], [0, None]])
+    def test_bad_vertices_rejected(self, vertices):
+        with pytest.raises(lc.InputError, match=r"vertices must lie in \[0, 4\)"):
+            lc.color_codes(lc.generate("path", 4), Coloring(2, (1, 2, 1, 2)), vertices)
+
 
 class TestVerify:
     def test_theorem2_coloring_is_locating(self):
@@ -84,30 +114,32 @@ class TestVerify:
         assert w["type"] == "monochromatic-edge"
         assert g.has_edge(w["u"], w["v"])
 
-    @pytest.mark.parametrize("colors,locating,calls", [
+    @pytest.mark.parametrize("colors,locating,rows", [
         # Keys (color, neighbour colors) all differ: locating without codes.
-        ((1, 2, 1, 3), True, 0),
+        ((1, 2, 1, 3), True, []),
         # Vertices 0 and 2 share the key (1, {2}) but not the code:
         # (0, 1, 4) against (0, 1, 2).
-        ((1, 2, 1, 2, 3), True, 1),
-        ((1, 2, 1, 2), False, 1),  # code collision
-        ((1, 1, 2, 3), False, 0),  # monochromatic edge: decided before any code
+        ((1, 2, 1, 2, 3), True, [[0, 2]]),
+        # Code collision: 0 and 2 share (1, {2}), 1 and 3 share (2, {1}).
+        ((1, 2, 1, 2), False, [[0, 1, 2, 3]]),
+        ((1, 1, 2, 3), False, []),  # monochromatic edge: decided before any code
     ], ids=["locating", "locating-tie", "collision", "monochromatic"])
-    def test_codes_come_from_color_codes(self, monkeypatch, colors, locating, calls):
-        # On a key tie, verify reads its codes through the public
-        # color_codes, the layer a traced benchmark run expects it to enter.
+    def test_codes_come_from_color_codes(self, monkeypatch, colors, locating, rows):
+        # On a key tie, verify reads the tied vertices' codes, and only
+        # theirs, through the public color_codes, the layer a traced
+        # benchmark run expects it to enter.
         seen = []
         color_codes = lc.locating.color_codes
 
-        def counting(g, c):
-            seen.append(c)
-            return color_codes(g, c)
+        def counting(g, c, vertices=None):
+            seen.append(vertices)
+            return color_codes(g, c, vertices)
 
         monkeypatch.setattr(lc.locating, "color_codes", counting)
         g = lc.generate("path", len(colors))
         report = lc.verify(g, Coloring(max(colors), colors))
         assert report.locating == locating
-        assert len(seen) == calls
+        assert seen == rows
 
     def test_witness_recheck(self):
         # A collision witness must reproduce when the codes are recomputed.
@@ -225,7 +257,8 @@ def test_locating_layer_needs_no_all_pairs_distances(monkeypatch):
 
 
 def test_connectivity_computed_once_per_graph(monkeypatch):
-    g = lc.generate("path", 4)
+    # make_graph records nothing, so the first call runs the one BFS.
+    g = lc.make_graph(4, [(0, 1), (1, 2), (2, 3)])
     calls = []
     real = lc.graphs.bfs_distances
 
@@ -236,6 +269,17 @@ def test_connectivity_computed_once_per_graph(monkeypatch):
     monkeypatch.setattr(lc.graphs, "bfs_distances", counting)
     assert lc.is_connected(g) and lc.is_connected(g)
     assert calls == [(0,)]
+
+
+@pytest.mark.parametrize("h", [lc.generate("empty", 1), lc.generate("path", 2)],
+                         ids=["K1", "P2"])
+def test_corona_of_disconnected_graph_rejected(h):
+    # The product records G's connectivity instead of running a BFS.
+    prod, _ = lc.corona(lc.make_graph(3, [(0, 1)]), h)
+    with pytest.raises(DisconnectedGraphError):
+        lc.chi_L(prod)
+    with pytest.raises(DisconnectedGraphError):
+        lc.verify(prod, Coloring(prod.n, tuple(range(1, prod.n + 1))))
 
 
 def test_disconnected_rejected_before_edge_verdict():

@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import atlas_connected
+from conftest import atlas_connected, bfs_connected, recorded_connectivity
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -130,7 +130,19 @@ def test_corona_upper_matches_map_assembly(g, h, seed):
 
 @given(graphs(max_order=7))
 def test_join_with_k1_connected(h):
-    assert lc.is_connected(lc.join_with_k1(h))
+    # K1 + H always is, and join_with_k1 records it: no BFS runs.
+    joined = lc.join_with_k1(h)
+    assert recorded_connectivity(joined) and bfs_connected(joined)
+
+
+@given(graphs(max_order=6), graphs(max_order=5))
+def test_corona_connected_iff_g_is(g, h):
+    # Every satellite is adjacent to its center; corona records G's
+    # connectivity, so no BFS runs on the product.
+    if g.n:
+        expected = lc.is_connected(g)
+        prod, _ = lc.corona(g, h)
+        assert recorded_connectivity(prod) == bfs_connected(prod) == expected
 
 
 @given(graphs(max_order=7))
@@ -346,29 +358,77 @@ def sparse_graphs(draw, max_order=10):
     return lc.make_graph(n, edges)
 
 
-@settings(deadline=None, max_examples=150)
-@given(st.data())
-def test_verify_report_matches_definition(data):
-    # The whole report, locating verdicts included: a coloring declared
-    # locating from its (color, neighbour colors) keys must have distinct
-    # codes, and any other verdict must carry the reference's witness.
-    g = data.draw(st.one_of(
+def renamed(raw):
+    # Renaming the colors in order of first use makes a coloring surjective.
+    rename = {}
+    colors = tuple(rename.setdefault(x, len(rename) + 1) for x in raw)
+    return Coloring(len(rename), colors)
+
+
+@st.composite
+def mostly_proper_colorings(draw):
+    g = draw(st.one_of(
         sparse_graphs(), graphs(min_order=2, max_order=9, connected=True)
     ))
     # Most draws avoid the colors of each vertex's earlier neighbours while
     # the palette allows, so proper colorings are common; the rest color
-    # freely. Renaming the colors in order of first use makes every
-    # coloring surjective.
-    palette = range(1, data.draw(st.integers(2, g.n)) + 1)
-    avoid = data.draw(st.integers(0, 3)) > 0
+    # freely.
+    palette = range(1, draw(st.integers(2, g.n)) + 1)
+    avoid = draw(st.integers(0, 3)) > 0
     raw = []
     for v, nbrs in enumerate(g.adjacency):
         taken = {raw[w] for w in nbrs if w < v} if avoid else ()
         free = [x for x in palette if x not in taken] or palette
-        raw.append(data.draw(st.sampled_from(free)))
-    rename = {}
-    colors = tuple(rename.setdefault(x, len(rename) + 1) for x in raw)
-    c = Coloring(len(rename), colors)
+        raw.append(draw(st.sampled_from(free)))
+    return g, renamed(raw)
+
+
+@st.composite
+def corona_colorings(draw):
+    """A relabelled G (.) E_m, G of order <= 5 and m <= 3 (m = 1 is
+    G (.) K1), with a near-locating coloring. The centers take few
+    colors, each avoiding its earlier neighbours' while it can; each
+    center's leaves take distinct colors other than the center's; then up
+    to two leaves take their center's color, a sibling's or any color.
+    Leaves of same-colored centers often share a (color, neighbour colors)
+    key, so verify reads the rows of grouped leaves; a leaf on its
+    center's color makes the coloring improper."""
+    g = draw(graphs(min_order=1, max_order=5, connected=True))
+    m = draw(st.integers(1, 3))
+    prod, _ = lc.corona(g, lc.generate("empty", m))
+    palette = range(1, m + 2 + draw(st.integers(0, g.n)))
+    raw = []
+    for v, nbrs in enumerate(g.adjacency):
+        taken = {raw[w] for w in nbrs if w < v}
+        raw.append(draw(st.sampled_from([x for x in palette[:g.n] if x not in taken]
+                                        or palette)))
+    for u in range(g.n):
+        raw += draw(st.permutations([x for x in palette if x != raw[u]]))[:m]
+    for _ in range(draw(st.integers(0, 2))):
+        p = draw(st.integers(g.n, prod.n - 1))
+        u = (p - g.n) // m
+        kind = draw(st.sampled_from(["center", "sibling", "any"]))
+        if kind == "center":
+            raw[p] = raw[u]
+        elif kind == "sibling":
+            raw[p] = raw[g.n + u * m + draw(st.integers(0, m - 1))]
+        else:
+            raw[p] = draw(st.sampled_from(palette))
+    perm = draw(st.permutations(range(prod.n)))
+    relabelled = [0] * prod.n
+    for v, x in enumerate(raw):
+        relabelled[perm[v]] = x
+    graph = lc.make_graph(prod.n, [(perm[a], perm[b]) for a, b in prod.edges])
+    return graph, renamed(relabelled)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(mostly_proper_colorings(), corona_colorings()))
+def test_verify_report_matches_definition(drawn):
+    # The whole report, locating verdicts included: a coloring declared
+    # locating from its (color, neighbour colors) keys must have distinct
+    # codes, and any other verdict must carry the reference's witness.
+    g, c = drawn
     assert lc.verify(g, c) == verify_by_definition(g, c)
 
 
@@ -438,10 +498,7 @@ def leaf_tied_colorings(draw, g):
     for p, nbrs in enumerate(g.adjacency):
         if len(nbrs) == 1:
             raw[p] = raw[draw(st.sampled_from([p, nbrs[0], *g.adjacency[nbrs[0]]]))]
-    # Renumber the colors used to 1..k by first appearance.
-    index = {}
-    colors = tuple(index.setdefault(x, len(index) + 1) for x in raw)
-    return Coloring(len(index), colors)
+    return renamed(raw)
 
 
 @given(st.data())
@@ -449,6 +506,17 @@ def test_color_codes_leaf_groups_match_distance_definition(data):
     g = data.draw(leaf_group_graphs())
     c = data.draw(leaf_tied_colorings(g))
     assert lc.color_codes(g, c) == codes_by_definition(g, c)
+
+
+@given(st.data())
+def test_color_codes_rows_match_full_table(data):
+    # Rows asked for by a list, in any order and with repeats, grouped
+    # leaves included, are the same rows of the whole table.
+    g = data.draw(leaf_group_graphs())
+    c = data.draw(leaf_tied_colorings(g))
+    vertices = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n + 2))
+    full = lc.color_codes(g, c)
+    assert lc.color_codes(g, c, vertices) == [full[v] for v in vertices]
 
 
 @pytest.mark.parametrize("family,order,colors", [
