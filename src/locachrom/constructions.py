@@ -257,13 +257,6 @@ def empty_corona_coloring(g: Graph, k: int) -> ConstructionResult:
     return _checked_result("empty-corona", product, coloring)
 
 
-def star_corona_chi_L(n: int) -> int:
-    """Closed form ceil(sqrt(n)) + 1 for the star-with-pendants product."""
-    if type(n) is not int or n < 4:
-        raise InputError(f"star construction requires an integer n >= 4, got {n!r}")
-    return math.isqrt(n - 1) + 2
-
-
 def star_corona_coloring(n: int) -> ConstructionResult:
     """Optimal coloring of the order-n star with one pendant per vertex.
 
@@ -271,7 +264,9 @@ def star_corona_coloring(n: int) -> ConstructionResult:
     l-1; pendants below a block count down through the palette, skipping
     the block color.
     """
-    l = star_corona_chi_L(n)
+    if type(n) is not int or n < 4:
+        raise InputError(f"star construction requires an integer n >= 4, got {n!r}")
+    l = math.isqrt(n - 1) + 2  # ceil(sqrt(n)) + 1
     star = generate("star", n)
     product, _ = corona(star, generate("empty", 1))
     colors = [0] * product.n      # the pendant of vertex i is n + i

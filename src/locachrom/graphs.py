@@ -409,16 +409,8 @@ def parse_graph(text: str) -> Graph:
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if len(parts) == 3 and parts[0] == "e" and n is not None:
-            # The common line: endpoints of at most six ASCII digits, far
-            # below int's digit limit, are read inline; any other token
-            # gets _parse_count's checks and messages.
-            a, b = parts[1], parts[2]
-            if (a.isdigit() and b.isdigit() and a.isascii() and b.isascii()
-                    and len(a) <= 6 and len(b) <= 6):
-                u, v = int(a), int(b)
-            else:
-                u = _parse_count(a, "endpoint", line_no)
-                v = _parse_count(b, "endpoint", line_no)
+            u = _parse_count(parts[1], "endpoint", line_no)
+            v = _parse_count(parts[2], "endpoint", line_no)
             if u == v:
                 raise ParseError(f"loop at vertex {u}", line_no)
             if u >= n or v >= n:

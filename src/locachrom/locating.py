@@ -142,7 +142,8 @@ def _check_coloring_size(g: Graph, c: Coloring):
 
 def color_codes(g: Graph, c: Coloring, vertices=None) -> list:
     """Per-vertex distance vectors to the k color classes: every vertex's,
-    or with ``vertices`` (a list of vertices) theirs alone, in that order.
+    or with ``vertices`` (any iterable of vertices, read once) theirs
+    alone, in its order.
 
     d(v, C) is v's level in one BFS started from every member of C at
     once. A leaf p is *grouped* when its neighbour u has another leaf.
@@ -159,6 +160,8 @@ def color_codes(g: Graph, c: Coloring, vertices=None) -> list:
     _require_connected(g)
     _check_coloring_size(g, c)
     full, colors = g.adjacency, c.colors
+    if vertices is not None:
+        vertices = list(vertices)
     if vertices and not (set(map(type, vertices)) <= {int}
                          and 0 <= min(vertices) and max(vertices) < g.n):
         raise InputError(f"vertices must lie in [0, {g.n}), got {vertices!r}")
@@ -298,7 +301,7 @@ def _settled_pairs(order: list, rows: list) -> list:
     return settled
 
 
-def _frozen_candidates(g: Graph, order: list, pos: dict, rows: list) -> list:
+def _frozen_candidates(order: list, rows: list) -> list:
     """Per depth t, the earlier vertices u whose code may be final at t,
     as (u, r): r is u's distance to the nearest vertex colored at t or
     later.
@@ -309,16 +312,13 @@ def _frozen_candidates(g: Graph, order: list, pos: dict, rows: list) -> list:
     first two where r grows, at most 3 times. r = 1 is left out: that is
     the full vertex the search counts. A graph on n < 7 vertices gets
     none: on every labelled connected graph of order <= 6, at every k,
-    the cut removes no node. Each round scans u's row in reverse search
-    order, O(n) in C, unless the first vertex's eccentricity is 32 or
-    more: then :func:`_frozen_by_layers` is cheaper.
+    the cut removes no node. One scan of u's row in reverse search order
+    finds each round's r, O(n) per vertex in C.
     """
     n = len(order)
     candidates = [[] for _ in order]
     if n < 7:
         return candidates
-    if max(rows[0]) >= 32:
-        return _frozen_by_layers(g, order, pos, candidates)
     backwards = operator.itemgetter(*reversed(order))
     for top, u, back in zip(range(n - 1, 0, -1), order, map(backwards, rows)):
         # back[:top]: u's distances to depths n - top, ..., n - 1
@@ -329,38 +329,6 @@ def _frozen_candidates(g: Graph, order: list, pos: dict, rows: list) -> list:
             top = back.index(r, 0, top)  # r grows at depth n - top
             if not top:
                 break
-    return candidates
-
-
-def _frozen_by_layers(g: Graph, order: list, pos: dict, candidates: list) -> list:
-    """:func:`_frozen_candidates` from the BFS layers around each u, in
-    search positions: r at depth t is the first layer that holds a
-    position of t or more, and it grows after that layer's last
-    position. Costs the ball up to the third r, not O(n).
-    """
-    n, at = len(order), pos.__getitem__
-    nbrs = [tuple(map(at, g.adjacency[v])) for v in order]
-    ball = [-1] * n  # ball[x] == p: x is in a layer around position p
-    for p, u in enumerate(order[:-1]):
-        layer, r, t, rounds = nbrs[p], 1, p + 1, 0
-        ball[p] = p
-        for x in layer:
-            ball[x] = p
-        while True:
-            last = max(layer)
-            if last >= t:  # r is u's distance to depth t
-                if r > 1:
-                    candidates[t].append((u, r))
-                t, rounds = last + 1, rounds + 1
-                if t == n or rounds == 3:
-                    break
-            nxt = []
-            for v in layer:
-                for x in nbrs[v]:
-                    if ball[x] != p:
-                        ball[x] = p
-                        nxt.append(x)
-            layer, r = nxt, r + 1
     return candidates
 
 
@@ -781,7 +749,7 @@ class _SearchTables:
         closed = [[v, *g.adjacency[v]] for v in order]
         floors, slots = _color_floors(g, order, pos, self.twins)
         return (order, rows, closed, floors, slots, _settled_pairs(order, rows),
-                _frozen_candidates(g, order, pos, rows))
+                _frozen_candidates(order, rows))
 
 
 # One slot: chi_L searches one graph at k = LB, LB + 1, ..., and its own

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, permutations
 
@@ -20,6 +21,12 @@ def from_networkx(G) -> lc.Graph:
     nodes = sorted(G.nodes())
     index = {v: i for i, v in enumerate(nodes)}
     return lc.make_graph(len(nodes), [(index[a], index[b]) for a, b in G.edges()])
+
+
+def star_corona_value(n: int) -> int:
+    # The paper's value of the order-n star with one pendant per vertex:
+    # ceil(sqrt(n)) + 1.
+    return math.isqrt(n - 1) + 2
 
 
 def all_trees(max_order: int) -> list:

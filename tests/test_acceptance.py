@@ -18,7 +18,7 @@ import pytest
 import locachrom as lc
 from locachrom.locating import INFEASIBLE
 
-from conftest import connected_graphs_up_to_iso, random_graph
+from conftest import connected_graphs_up_to_iso, random_graph, star_corona_value
 
 
 def report(criterion: str, elapsed: float | None = None):
@@ -97,10 +97,10 @@ def test_criterion_4_star_theorem():
         result = lc.star_corona_coloring(n)
         prod, _ = lc.corona(lc.generate("star", n), lc.generate("empty", 1))
         assert lc.verify(prod, result.coloring).locating
-        assert result.coloring.k == lc.star_corona_chi_L(n)
+        assert result.coloring.k == star_corona_value(n)
     for n in (4, 5, 6):
         prod, _ = lc.corona(lc.generate("star", n), lc.generate("empty", 1))
-        assert lc.chi_L(prod).value == lc.star_corona_chi_L(n)
+        assert lc.chi_L(prod).value == star_corona_value(n)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     report("4 (star corona value is ceil(sqrt(n)) + 1)", elapsed)

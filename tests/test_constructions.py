@@ -12,6 +12,8 @@ import locachrom as lc
 from locachrom.constructions import ConstructionError
 from locachrom.locating import Coloring
 
+from conftest import star_corona_value
+
 
 #: Holds the paper's Theorem-2 graph and code table, transcribed.
 DATA = Path(__file__).parent / "data"
@@ -314,7 +316,7 @@ class TestEmptyCorona:
 class TestStarCorona:
     @pytest.mark.parametrize("n,expected", [(4, 3), (5, 4), (9, 4), (16, 5), (100, 11)])
     def test_closed_form(self, n, expected):
-        assert lc.star_corona_chi_L(n) == expected
+        assert lc.star_corona_coloring(n).coloring.k == expected
 
     def test_n4_exact_colors(self):
         # Frozen from the construction formula, confirmed by verify.
@@ -331,13 +333,13 @@ class TestStarCorona:
         result = lc.star_corona_coloring(n)
         prod = product(lc.generate("star", n), lc.generate("empty", 1))
         assert lc.verify(prod, result.coloring).locating
-        assert result.coloring.k == lc.star_corona_chi_L(n)
+        assert result.coloring.k == star_corona_value(n)
 
     def test_minimum_order(self):
         with pytest.raises(lc.InputError):
             lc.star_corona_coloring(3)
 
-    @pytest.mark.parametrize("build", [lc.star_corona_chi_L, lc.star_corona_coloring])
+    @pytest.mark.parametrize("build", [lc.star_corona_coloring])
     @pytest.mark.parametrize("n", [4.0, "4"])
     def test_non_integer_order_rejected(self, build, n):
         with pytest.raises(lc.InputError, match="an integer n >= 4"):

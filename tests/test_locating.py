@@ -82,8 +82,12 @@ class TestColorCodes:
         full = lc.color_codes(g, c)
         assert lc.color_codes(g, c, [3, 0, 3]) == [full[3], full[0], full[3]]
         assert lc.color_codes(g, c, []) == []
+        # Any iterable is read once, in its order.
+        assert lc.color_codes(g, c, (v for v in [3, 0, 3])) == [full[3], full[0], full[3]]
+        assert lc.color_codes(g, c, (v for v in [])) == []
 
-    @pytest.mark.parametrize("vertices", [[-1], [4], [True], [1.0], [0, None]])
+    @pytest.mark.parametrize("vertices", [[-1], [4], [True], [1.0], [0, None],
+                                          (v for v in [0, 7])])
     def test_bad_vertices_rejected(self, vertices):
         with pytest.raises(lc.InputError, match=r"vertices must lie in \[0, 4\)"):
             lc.color_codes(lc.generate("path", 4), Coloring(2, (1, 2, 1, 2)), vertices)

@@ -356,7 +356,7 @@ def test_search_matches_reference_where_frozen_codes_cut(
     assert_same_search(g, k)
     cut = lc.find_locating_coloring(g, k).nodes
     monkeypatch.setattr(locating, "_frozen_candidates",
-                        lambda g, order, *_: [[] for _ in order])
+                        lambda order, rows: [[] for _ in order])
     locating._search_tables.cache_clear()
     assert lc.find_locating_coloring(g, k).nodes == without > cut
     locating._search_tables.cache_clear()
@@ -600,7 +600,7 @@ def frozen_table(g):
     order = _search_order(g, _pendant_groups(g))
     dist = lc.all_pairs_distances(g)
     rows = [dist[v] for v in order]
-    table = _frozen_candidates(g, order, {v: i for i, v in enumerate(order)}, rows)
+    table = _frozen_candidates(order, rows)
     return table, frozen_candidates_by_definition(order, rows)
 
 
@@ -608,7 +608,8 @@ def test_frozen_candidates_match_definition():
     star_k1 = lambda n: corona_of(lc.generate("star", n), lc.generate("empty", 1))
     graphs = [g for g in atlas_connected(7) if g.n == 7]
     graphs += [star_k1(n) for n in (4, 9, 16, 40)] + [lc.fixture_theorem2().graph]
-    # From an eccentricity of 32 on, the table is read off BFS layers.
+    # The long paths, spiders and cycle exercise the scan at large
+    # eccentricities.
     graphs += [lc.generate("path", n) for n in (33, 34, 60)]
     graphs += [spider(3, 12), spider(3, 40), lc.generate("cycle", 70)]
     graphs += [corona_of(lc.generate("path", 40), lc.generate("path", 2))]
@@ -641,8 +642,7 @@ def test_frozen_cut_removes_nothing_below_7_vertices(monkeypatch):
                 for g in atlas_connected(6) for k in range(1, g.n + 1)]
 
     without = counts()
-    by_definition = lambda g, order, pos, rows: frozen_candidates_by_definition(order, rows)
-    monkeypatch.setattr(locating, "_frozen_candidates", by_definition)
+    monkeypatch.setattr(locating, "_frozen_candidates", frozen_candidates_by_definition)
     assert counts() == without
     locating._search_tables.cache_clear()
 
