@@ -24,6 +24,7 @@ from .graphs import (
     join_with_k1,
     serialize_graph,
     subgraph_isomorphic,
+    _tree_shape,
 )
 from .locating import (
     DEFAULT_BUDGET,
@@ -331,6 +332,11 @@ def _require_tree(t: Graph):
         raise InputError("expected a tree with at least 2 vertices")
 
 
+#: Verdicts of :func:`pendant_tree_classifier` by (tree shape, g3); a
+#: failed classification is never stored. Unbounded, like ``chi_L``'s cache.
+_VERDICTS: dict = {}
+
+
 def pendant_tree_classifier(t: Graph, g3: Graph) -> int:
     """Value of chi_L for a one-pendant-per-vertex extension of a tree.
 
@@ -339,13 +345,21 @@ def pendant_tree_classifier(t: Graph, g3: Graph) -> int:
     graph g3, and 4 otherwise. When the extension is small enough the
     classification is cross-checked against the exact solver; a
     disagreement (typically a wrong g3 file) raises.
+
+    Both depend on T only up to isomorphism, so they run once per tree
+    shape and g3 in a process; T's own value is checked on every call.
     """
+    if not isinstance(g3, Graph):
+        raise InputError(f"g3 must be a Graph, got {type(g3).__name__}")
     _require_tree(t)
     base = chi_L(t, DEFAULT_BUDGET)
     if base.value != 3:
         raise InputError(
             f"classifier requires a tree with value 3, solver found {base.value}"
         )
+    key = (_tree_shape(t), g3)
+    if key in _VERDICTS:
+        return _VERDICTS[key]
     value = 3 if subgraph_isomorphic(t, _P6) or subgraph_isomorphic(t, g3) else 4
     if 2 * t.n <= 14:
         product, _ = corona(t, _K1)
@@ -355,4 +369,5 @@ def pendant_tree_classifier(t: Graph, g3: Graph) -> int:
                 f"classifier says {value} but the solver found {exact.value}; "
                 "check the supplied g3 graph"
             )
+    _VERDICTS[key] = value
     return value

@@ -378,6 +378,40 @@ def subgraph_isomorphic(pattern: Graph, host: Graph) -> bool:
     return extend(0)
 
 
+def _tree_shape(t: Graph) -> tuple:
+    """Canonical form of a tree: equal for two trees exactly when they are
+    isomorphic. Iterative, O(n log n).
+
+    The rooted encoding of Aho, Hopcroft and Ullman (1974), rooted at the
+    centre or the two centres, met by peeling leaves layer by layer: a
+    vertex's key is the sorted tuple of its peeled neighbours' ranks, and
+    each layer's distinct keys, in order, take the next free ranks. The
+    form lists every layer's sorted keys; the last layer holds the centres.
+    On a graph with a cycle, peeling stops at the cycles.
+    """
+    adj = t.adjacency
+    degree = list(map(len, adj))
+    rank, form, ranked = [-1] * t.n, [], 0
+    layer = [v for v in range(t.n) if degree[v] <= 1]
+    while layer:
+        keys = [tuple(sorted(rank[w] for w in adj[v] if rank[w] >= 0))
+                for v in layer]
+        ordered = sorted(keys)
+        # Every rank given so far is below `ranked`.
+        index = {key: r for r, key in enumerate(dict.fromkeys(ordered), ranked)}
+        for v, key in zip(layer, keys):
+            rank[v] = index[key]
+        form.append(tuple(ordered))
+        ranked += len(layer)
+        peeled, layer = layer, []
+        for v in peeled:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    layer.append(w)
+    return tuple(form)
+
+
 def serialize_graph(g: Graph) -> str:
     """Canonical edge-list text: 'n <order>' then sorted 'e <u> <v>' lines."""
     lines = [f"n {g.n}"]

@@ -38,6 +38,29 @@ def all_trees(max_order: int) -> list:
     ]
 
 
+def prufer_tree(n: int, seq) -> lc.Graph:
+    """The labelled tree on n >= 1 vertices whose Pruefer sequence is seq
+    (n - 2 entries in 0..n-1; ignored for n < 3)."""
+    if n < 3:
+        return lc.make_graph(n, [(0, 1)][: n - 1])
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = degree.index(1)  # the least leaf left
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    u, w = (x for x in range(n) if degree[x] == 1)
+    return lc.make_graph(n, [*edges, (u, w)])
+
+
+def relabel(g: lc.Graph, perm) -> lc.Graph:
+    """g with vertex v renamed perm[v]."""
+    return lc.make_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+
+
 def atlas_connected(max_order: int) -> list:
     """Every connected graph on 2..max_order vertices, up to isomorphism,
     from networkx's graph atlas (all graphs on at most 7 vertices)."""

@@ -2,6 +2,7 @@
 
 import builtins
 import json
+import random
 import re
 from importlib import resources
 from pathlib import Path
@@ -12,7 +13,7 @@ import locachrom as lc
 from locachrom.constructions import ConstructionError
 from locachrom.locating import Coloring
 
-from conftest import star_corona_value
+from conftest import prufer_tree, relabel, star_corona_value
 
 
 #: Holds the paper's Theorem-2 graph and code table, transcribed.
@@ -413,6 +414,23 @@ class TestTreeEmptyCoronaBounds:
             lc.tree_empty_corona_bounds(lc.generate("path", 3), m)
 
 
+@pytest.fixture
+def verdicts(monkeypatch):
+    """The classifier's verdict cache, empty for this test and restored
+    after it."""
+    cache = {}
+    monkeypatch.setattr(lc.constructions, "_VERDICTS", cache)
+    return cache
+
+
+def classifier_outcome(t: lc.Graph, g3) -> object:
+    """The classifier's value, or the type and message of what it raised."""
+    try:
+        return lc.pendant_tree_classifier(t, g3)
+    except (lc.InputError, ConstructionError) as exc:
+        return type(exc), str(exc)
+
+
 class TestPendantTreeClassifier:
     def test_p3(self):
         assert lc.pendant_tree_classifier(lc.generate("path", 3), load_g3()) == 3
@@ -441,3 +459,57 @@ class TestPendantTreeClassifier:
         bad_g3 = lc.generate("path", 7)
         with pytest.raises(ConstructionError):
             lc.pendant_tree_classifier(lc.generate("path", 7), bad_g3)
+
+    @pytest.mark.parametrize("g3", ["x", None, [(0, 1)]], ids=["str", "None", "edges"])
+    @pytest.mark.parametrize("n", [4, 7], ids=["P4-in-P6", "P7-in-neither"])
+    def test_g3_must_be_a_graph(self, verdicts, n, g3):
+        # P4 embeds in P6, so g3 was never read and 3 came back; P7 ended
+        # in a bare AttributeError.
+        with pytest.raises(lc.InputError, match="g3 must be a Graph, got "):
+            lc.pendant_tree_classifier(lc.generate("path", n), g3)
+        assert not verdicts
+
+    def test_failures_are_not_cached(self, verdicts):
+        bad_g3, p7 = lc.generate("path", 7), lc.generate("path", 7)
+        for t in (p7, p7, relabel(p7, [3, 1, 6, 0, 5, 2, 4])):
+            with pytest.raises(ConstructionError, match="says 3 but the solver found 4"):
+                lc.pendant_tree_classifier(t, bad_g3)
+        for _ in range(2):
+            with pytest.raises(lc.InputError, match="requires a tree with value 3"):
+                lc.pendant_tree_classifier(lc.generate("star", 4), load_g3())
+        assert not verdicts
+
+    def test_relabelled_tree_is_decided_from_the_cache(self, verdicts, monkeypatch):
+        searches, solved = [], []
+        search, solve = lc.constructions.subgraph_isomorphic, lc.constructions.chi_L
+        monkeypatch.setattr(lc.constructions, "subgraph_isomorphic",
+                            lambda *args: searches.append(args) or search(*args))
+        monkeypatch.setattr(lc.constructions, "chi_L",
+                            lambda g, budget: solved.append(g) or solve(g, budget))
+        g3 = load_g3()
+        # A spider with legs 1, 2 and 2: value 3, not in P6, so both
+        # searches run, and of order 6, so the cross-check solves T (.) K1.
+        t = lc.make_graph(6, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5)])
+        value = lc.pendant_tree_classifier(t, g3)
+        assert len(searches) == 2 and [g.n for g in solved] == [6, 12]
+        searches.clear(), solved.clear()
+        copy = relabel(t, [5, 3, 0, 4, 2, 1])
+        assert copy != t
+        assert lc.pendant_tree_classifier(copy, g3) == value
+        assert searches == [] and solved == [copy]
+
+    def test_cache_agrees_with_the_uncached_rule(self, verdicts):
+        # 2,000 labelled trees of order 2 to 9 fall into far fewer shapes,
+        # so most calls are served from the cache.
+        rng = random.Random(39)
+        orders = [rng.randint(2, 9) for _ in range(2_000)]
+        trees = [prufer_tree(n, [rng.randrange(n) for _ in range(n - 2)])
+                 for n in orders]
+        assert len({lc.graphs._tree_shape(t) for t in trees}) < 100
+        for g3 in (load_g3(), lc.generate("star", 6), lc.generate("path", 7)):
+            cached = [classifier_outcome(t, g3) for t in trees]
+            uncached = []
+            for t in trees:
+                verdicts.clear()
+                uncached.append(classifier_outcome(t, g3))
+            assert cached == uncached

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from conftest import bfs_connected, from_networkx, recorded_connectivity
+from conftest import bfs_connected, from_networkx, recorded_connectivity, relabel
 
 import locachrom as lc
-from locachrom.graphs import FAMILIES, ParseError, SizeLimitError
+from locachrom.graphs import FAMILIES, ParseError, SizeLimitError, _tree_shape
 
 
 def isomorphic_brute(g: lc.Graph, h: lc.Graph) -> bool:
@@ -352,6 +352,37 @@ class TestSubgraphIsomorphic:
         big = lc.generate("empty", 65)
         with pytest.raises(SizeLimitError):
             lc.subgraph_isomorphic(big, lc.generate("empty", 70))
+
+
+class TestTreeShape:
+    def test_separates_every_tree_up_to_order_10(self):
+        trees = [lc.make_graph(1, [])] + [
+            from_networkx(t) for n in range(2, 11) for t in nx.nonisomorphic_trees(n)
+        ]
+        assert len(trees) == 201
+        assert len({_tree_shape(t) for t in trees}) == 201
+
+    def test_bicentral_halves_are_unordered(self):
+        # P4 0-1-2-3 with a leaf on 1 or on 2: one tree whose centres 1
+        # and 2 carry its two halves in either order.
+        a = lc.make_graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+        b = lc.make_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+        assert _tree_shape(a) == _tree_shape(b)
+        assert _tree_shape(a) != _tree_shape(lc.generate("path", 5))
+
+    @pytest.mark.parametrize("kind", ["path", "broom"])
+    def test_order_5000_needs_no_recursion(self, kind):
+        # A broom: a path of 2,500 vertices with 2,500 leaves on its end.
+        # Recursive encodings fail at depth ~1,000 here.
+        n = 5_000
+        if kind == "path":
+            t = lc.generate("path", n)
+        else:
+            t = lc.make_graph(n, [(i, i + 1) for i in range(2_499)]
+                              + [(2_499, i) for i in range(2_500, n)])
+        perm = list(range(n))[::-1]
+        assert _tree_shape(relabel(t, perm)) == _tree_shape(t)
+        assert sum(map(len, _tree_shape(t))) == n  # one key per vertex
 
 
 class TestSerialization:

@@ -4,11 +4,14 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import atlas_connected, bfs_connected, recorded_connectivity
+from conftest import (
+    atlas_connected, bfs_connected, prufer_tree, recorded_connectivity, relabel,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import locachrom as lc
+from locachrom.graphs import _tree_shape
 from locachrom.locating import Coloring
 
 
@@ -66,8 +69,7 @@ def test_corona_distance_structure(g, h):
 def relabeled(draw, base):
     """A drawn graph with its vertices renamed, so components interleave."""
     h = draw(base)
-    perm = draw(st.permutations(range(h.n)))
-    return lc.make_graph(h.n, [(perm[a], perm[b]) for a, b in h.edges])
+    return relabel(h, draw(st.permutations(range(h.n))))
 
 
 def corona_by_layout(g, h):
@@ -485,8 +487,7 @@ def leaf_group_graphs(draw):
         if kind == "edge-and-edgeless":
             h = lc.disjoint_union(lc.generate("path", 2), h)
         g, _ = lc.corona(draw(graphs(min_order=1, max_order=6, connected=True)), h)
-    perm = draw(st.permutations(range(g.n)))
-    return lc.make_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+    return relabel(g, draw(st.permutations(range(g.n))))
 
 
 @st.composite
@@ -584,3 +585,18 @@ def test_parse_graph_fuzz(text):
     except (lc.ParseError, lc.InputError):
         return
     assert lc.parse_graph(lc.serialize_graph(g)) == g
+
+
+@st.composite
+def prufer_trees(draw, max_order=40):
+    """A labelled tree of order 1..max_order, drawn by its Pruefer
+    sequence."""
+    n = draw(st.integers(1, max_order))
+    return prufer_tree(n, draw(st.lists(st.integers(0, n - 1),
+                                        min_size=max(n - 2, 0), max_size=max(n - 2, 0))))
+
+
+@given(prufer_trees(), st.data())
+def test_tree_shape_ignores_labels(t, data):
+    perm = data.draw(st.permutations(range(t.n)))
+    assert _tree_shape(relabel(t, perm)) == _tree_shape(t)
