@@ -380,15 +380,9 @@ def subgraph_isomorphic(pattern: Graph, host: Graph) -> bool:
 
 def _tree_shape(t: Graph) -> tuple:
     """Canonical form of a tree: equal for two trees exactly when they are
-    isomorphic. Iterative, O(n log n).
-
-    The rooted encoding of Aho, Hopcroft and Ullman (1974), rooted at the
-    centre or the two centres, met by peeling leaves layer by layer: a
-    vertex's key is the sorted tuple of its peeled neighbours' ranks, and
-    each layer's distinct keys, in order, take the next free ranks. The
-    form lists every layer's sorted keys; the last layer holds the centres.
-    On a graph with a cycle, peeling stops at the cycles.
-    """
+    isomorphic. The rooted encoding of Aho, Hopcroft and Ullman (1974),
+    rooted at the centre or centres by peeling leaves layer by layer;
+    iterative, O(n log n)."""
     adj = t.adjacency
     degree = list(map(len, adj))
     rank, form, ranked = [-1] * t.n, [], 0

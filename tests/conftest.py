@@ -145,6 +145,15 @@ def refuse_graph_build(monkeypatch):
     monkeypatch.setattr(lc.graphs, "Graph", refuse)
 
 
+@pytest.fixture(autouse=True)
+def verdicts(monkeypatch):
+    """The classifier's verdict cache, empty for every test and restored
+    after it, so no test reads a verdict that another test stored."""
+    cache = {}
+    monkeypatch.setattr(lc.constructions, "_VERDICTS", cache)
+    return cache
+
+
 @pytest.fixture(scope="session")
 def small_trees():
     return all_trees(7)

@@ -414,15 +414,6 @@ class TestTreeEmptyCoronaBounds:
             lc.tree_empty_corona_bounds(lc.generate("path", 3), m)
 
 
-@pytest.fixture
-def verdicts(monkeypatch):
-    """The classifier's verdict cache, empty for this test and restored
-    after it."""
-    cache = {}
-    monkeypatch.setattr(lc.constructions, "_VERDICTS", cache)
-    return cache
-
-
 def classifier_outcome(t: lc.Graph, g3) -> object:
     """The classifier's value, or the type and message of what it raised."""
     try:

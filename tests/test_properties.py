@@ -69,7 +69,8 @@ def test_corona_distance_structure(g, h):
 def relabeled(draw, base):
     """A drawn graph with its vertices renamed, so components interleave."""
     h = draw(base)
-    return relabel(h, draw(st.permutations(range(h.n))))
+    perm = draw(st.permutations(range(h.n)))
+    return lc.make_graph(h.n, [(perm[a], perm[b]) for a, b in h.edges])
 
 
 def corona_by_layout(g, h):
@@ -487,7 +488,8 @@ def leaf_group_graphs(draw):
         if kind == "edge-and-edgeless":
             h = lc.disjoint_union(lc.generate("path", 2), h)
         g, _ = lc.corona(draw(graphs(min_order=1, max_order=6, connected=True)), h)
-    return relabel(g, draw(st.permutations(range(g.n))))
+    perm = draw(st.permutations(range(g.n)))
+    return lc.make_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
 
 
 @st.composite
