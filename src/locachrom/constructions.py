@@ -328,6 +328,8 @@ _K1 = generate("empty", 1)
 
 
 def _require_tree(t: Graph):
+    if not isinstance(t, Graph):
+        raise InputError(f"T must be a Graph, got {type(t).__name__}")
     if t.n < 2 or not is_connected(t) or t.num_edges != t.n - 1:
         raise InputError("expected a tree with at least 2 vertices")
 

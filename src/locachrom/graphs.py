@@ -378,32 +378,42 @@ def subgraph_isomorphic(pattern: Graph, host: Graph) -> bool:
     return extend(0)
 
 
-def _tree_shape(t: Graph) -> tuple:
-    """Canonical form of a tree: equal for two trees exactly when they are
-    isomorphic. The rooted encoding of Aho, Hopcroft and Ullman (1974),
-    rooted at the centre or centres by peeling leaves layer by layer;
-    iterative, O(n log n)."""
-    adj = t.adjacency
-    degree = list(map(len, adj))
-    rank, form, ranked = [-1] * t.n, [], 0
-    layer = [v for v in range(t.n) if degree[v] <= 1]
+def _peel(adj) -> tuple:
+    """Peel the vertices of degree <= 1 layer by layer; iterative, O(n log n).
+
+    Returns (layers, rank, parent). Per layer, ``layers`` holds each peeled
+    vertex's key: the sorted ranks of its peeled neighbours, the roots of
+    its pendant tree's subtrees. ``rank`` is the rooted encoding of Aho,
+    Hopcroft and Ullman (1974): 0 for a leaf, -1 if never peeled, and equal
+    for two peeled vertices exactly when their pendant trees are isomorphic.
+    ``parent[v]`` is v's one neighbour left when it was peeled, or -1: for
+    a tree's centre or centres and for a vertex never peeled.
+    """
+    rank, parent, layers, ranked = [-1] * len(adj), [-1] * len(adj), [], 0
+    below = [[] for _ in adj]  # per vertex, the ranks of its peeled neighbours
+    layer = [v for v, nbrs in enumerate(adj) if len(nbrs) <= 1]
     while layer:
-        keys = [tuple(sorted(rank[w] for w in adj[v] if rank[w] >= 0))
-                for v in layer]
-        ordered = sorted(keys)
+        keys = [tuple(sorted(below[v])) for v in layer]
         # Every rank given so far is below `ranked`.
-        index = {key: r for r, key in enumerate(dict.fromkeys(ordered), ranked)}
+        index = {key: r for r, key in enumerate(sorted(set(keys)), ranked)}
         for v, key in zip(layer, keys):
             rank[v] = index[key]
-        form.append(tuple(ordered))
+        layers.append(keys)
         ranked += len(layer)
         peeled, layer = layer, []
         for v in peeled:
             for w in adj[v]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    layer.append(w)
-    return tuple(form)
+                if rank[w] < 0:  # the one neighbour left
+                    parent[v] = w
+                    below[w].append(rank[v])
+                    if len(below[w]) == len(adj[w]) - 1:
+                        layer.append(w)
+    return layers, rank, parent
+
+
+def _tree_shape(t: Graph) -> tuple:
+    """Canonical form of a tree: the sorted keys of each layer of :func:`_peel`."""
+    return tuple(tuple(sorted(keys)) for keys in _peel(t.adjacency)[0])
 
 
 def serialize_graph(g: Graph) -> str:

@@ -20,6 +20,7 @@ from .graphs import (
     Graph,
     InputError,
     SizeLimitError,
+    _peel,
     all_pairs_distances,
     bfs_levels,
     is_connected,
@@ -127,6 +128,8 @@ def _check_budget(budget):
 
 
 def _require_connected(g: Graph):
+    if not isinstance(g, Graph):
+        raise InputError(f"expected a Graph, got {type(g).__name__}")
     if not is_connected(g):
         raise DisconnectedGraphError(
             "color codes are undefined on a disconnected graph"
@@ -359,64 +362,33 @@ def _search_order(g: Graph, groups: dict) -> list:
 def _branch_swaps(g: Graph, pos: dict) -> list:
     """Automorphisms that swap two isomorphic pendant trees, as vertex pairs.
 
-    Peeling degree-1 vertices gives each peeled vertex a parent, its one
-    neighbour left when it went; a tree keeps its last vertex as the root.
-    The peeled vertices hang off their parents as rooted trees, labelled
-    bottom-up by their canonical forms (Aho, Hopcroft & Ullman). Two
-    children of one vertex with the same label, consecutive in search
-    position ``pos``, root subtrees that an automorphism swaps: it maps
-    children to children in (label, position) order and fixes the rest.
-    Each swap is listed as its pairs (u, image of u), u in the earlier
-    subtree. Leaves of one parent are twins, which the twin order already
-    breaks, so their swaps are left out. O(n + m) when no vertex has two
-    peeled children that are not leaves. A vertex lies in at most two
-    swaps per ancestor that holds a second copy of its branch, and the
-    subtree at least doubles from one such ancestor to the next, so there
-    are O(n log n) swap pairs in all. No recursion.
+    :func:`graphs._peel` hangs each peeled vertex off its parent, ranked
+    by its pendant tree's canonical form. Two children of one vertex with
+    the same rank, consecutive in search position ``pos``, root subtrees
+    that an automorphism swaps: it maps children to children in (rank,
+    position) order and fixes the rest. Each swap is listed as its pairs
+    (u, image of u), u in the earlier subtree. Leaves of one parent are
+    twins, which the twin order already breaks, so their swaps are left
+    out. A vertex lies in at most two swaps per ancestor that holds a
+    second copy of its branch, and the subtree at least doubles from one
+    such ancestor to the next, so there are O(n log n) swap pairs in all.
+    No recursion.
     """
-    adj = g.adjacency
-    degree = list(map(len, adj))
-    queue = [v for v, d in enumerate(degree) if d == 1]
-    if not queue:
-        return []
-    children = [[] for _ in adj]
-    branches = [0] * g.n  # peeled children that are not leaves
-    left = g.n
-    for v in queue:  # children are peeled before their parents
-        if left == 1:
-            queue.pop()  # the root of a tree
-            break
-        left -= 1
-        degree[v] = 0
-        for w in adj[v]:
-            if degree[w]:  # the one neighbour left
-                children[w].append(v)
-                branches[w] += bool(children[v])
-                degree[w] -= 1
-                if degree[w] == 1:
-                    queue.append(w)
-                break
-    if max(branches) < 2:
-        return []
-    label, forms = [0] * g.n, {(): 0}  # form 0: a leaf
-    for v in queue:
-        if children[v]:
-            form = tuple(sorted([label[c] for c in children[v]]))
-            label[v] = forms.setdefault(form, len(forms))
-    for kids in children:
-        kids.sort(key=lambda c: (label[c], pos[c]))
+    _, rank, parent = _peel(g.adjacency)
+    hung = sorted((v for v, p in enumerate(parent) if p >= 0),
+                  key=lambda v: (parent[v], rank[v], pos[v]))
+    children = [[] for _ in parent]
+    for v in hung:
+        children[parent[v]].append(v)
     swaps = []
-    for kids, count in zip(children, branches):
-        if count < 2:
-            continue
-        for a, b in zip(kids, kids[1:]):
-            if label[a] == label[b] != 0:
-                pairs, todo = [], [(a, b)]
-                while todo:
-                    u, v = todo.pop()
-                    pairs.append((u, v))
-                    todo.extend(zip(children[u], children[v]))
-                swaps.append(pairs)
+    for a, b in zip(hung, hung[1:]):
+        if parent[a] == parent[b] and rank[a] == rank[b] != 0:
+            pairs, todo = [], [(a, b)]
+            while todo:
+                u, v = todo.pop()
+                pairs.append((u, v))
+                todo.extend(zip(children[u], children[v]))
+            swaps.append(pairs)
     return swaps
 
 

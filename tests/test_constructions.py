@@ -460,6 +460,14 @@ class TestPendantTreeClassifier:
             lc.pendant_tree_classifier(lc.generate("path", n), g3)
         assert not verdicts
 
+    @pytest.mark.parametrize("t", ["x", None, [(0, 1)]], ids=["str", "None", "edges"])
+    def test_tree_must_be_a_graph(self, verdicts, t):
+        with pytest.raises(lc.InputError, match="T must be a Graph, got "):
+            lc.pendant_tree_classifier(t, load_g3())
+        with pytest.raises(lc.InputError, match="T must be a Graph, got "):
+            lc.tree_empty_corona_bounds(t, 1)
+        assert not verdicts
+
     def test_failures_are_not_cached(self, verdicts):
         bad_g3, p7 = lc.generate("path", 7), lc.generate("path", 7)
         for t in (p7, p7, relabel(p7, [3, 1, 6, 0, 5, 2, 4])):

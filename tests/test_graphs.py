@@ -370,6 +370,18 @@ class TestTreeShape:
         assert _tree_shape(a) == _tree_shape(b)
         assert _tree_shape(a) != _tree_shape(lc.generate("path", 5))
 
+    @pytest.mark.parametrize("t,form", [
+        (lc.make_graph(1, []), (((),),)),
+        (lc.generate("path", 4), (((), ()), ((0,), (0,)))),
+        (lc.generate("double_star", 2, 1), (((), (), ()), ((0,), (0, 0)))),
+        (lc.make_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),
+         (((), (), ()), ((0,), (0,), (0,)), ((3, 3, 3),))),
+    ], ids=["K1", "P4", "double-star", "spider"])
+    def test_form_is_pinned(self, t, form):
+        # Per layer, the sorted keys; a rank counts the vertices of the
+        # layers before. The classifier's verdict cache is keyed on it.
+        assert _tree_shape(t) == form
+
     @pytest.mark.parametrize("kind", ["path", "broom"])
     def test_order_5000_needs_no_recursion(self, kind):
         # A broom: a path of 2,500 vertices with 2,500 leaves on its end.

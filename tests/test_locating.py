@@ -286,6 +286,28 @@ def test_corona_of_disconnected_graph_rejected(h):
         lc.verify(prod, Coloring(prod.n, tuple(range(1, prod.n + 1))))
 
 
+@pytest.mark.parametrize("g", ["x", None, [(0, 1)]], ids=["str", "None", "edges"])
+@pytest.mark.parametrize("call", [
+    lambda g: lc.color_codes(g, Coloring(2, (1, 2))),
+    lambda g: lc.verify(g, Coloring(2, (1, 2))),
+    lc.twin_classes,
+    lc.locating_lower_bound,
+    lambda g: lc.find_locating_coloring(g, 2, 100),
+    lc.brute_force_chi_L,
+], ids=["color_codes", "verify", "twin_classes", "locating_lower_bound",
+        "find_locating_coloring", "brute_force_chi_L"])
+def test_non_graph_rejected(call, g):
+    with pytest.raises(lc.InputError, match="expected a Graph, got "):
+        call(g)
+
+
+@pytest.mark.parametrize("g", ["x", None], ids=["str", "None"])
+def test_chi_L_rejects_non_graph(g):
+    # chi_L's cache hashes g first, so only hashable values get this far.
+    with pytest.raises(lc.InputError, match="expected a Graph, got "):
+        lc.chi_L(g)
+
+
 def test_disconnected_rejected_before_edge_verdict():
     # Vertices 0 and 1 share an edge and a color, but 2 is isolated.
     g = lc.make_graph(3, [(0, 1)])

@@ -4,7 +4,8 @@ leaf-block order, settled pairs and color presence) and its static lower
 bound may only remove nodes, never change a verdict or the first
 coloring."""
 
-from itertools import combinations, permutations
+from bisect import bisect_right
+from itertools import accumulate, combinations, permutations
 
 import networkx as nx
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import locachrom as lc
-from locachrom import locating
+from locachrom import graphs, locating
 from conftest import all_trees, atlas_connected, atlas_graphs
 from locachrom.locating import (
     BUDGET_EXHAUSTED,
@@ -180,6 +181,62 @@ def test_branch_swaps_are_automorphisms(g):
         assert {frozenset((sigma[a], sigma[b])) for a, b in g.edges} == {
             frozenset(e) for e in g.edges
         }, swap
+
+
+def ahu(children, v) -> str:
+    """The rooted tree under v as a nested-bracket string, children sorted."""
+    return "(" + "".join(sorted(ahu(children, c) for c in children[v])) + ")"
+
+
+@settings(deadline=None, max_examples=200)
+@given(pendant_graphs())
+def test_peel_ranks_pendant_trees(g):
+    # Independently of the peel: the never-peeled vertices are the 2-core,
+    # and a tree's last layer is its centre. Pendant trees hang away from
+    # that anchor, a child being one step farther from it.
+    G = nx.Graph(list(g.edges))
+    G.add_nodes_from(range(g.n))
+    core = set(nx.k_core(G, 2))
+    anchor = core or set(nx.center(G))
+    far = nx.multi_source_dijkstra_path_length(G, anchor)
+    children = [[w for w in nbrs if far[w] == far[v] + 1]
+                for v, nbrs in enumerate(g.adjacency)]
+    layers, rank, parent = graphs._peel(g.adjacency)
+    starts = list(accumulate(map(len, layers), initial=0))
+    peeled = [v for v in range(g.n) if v not in core]
+    assert sorted(v for v in range(g.n) if rank[v] >= 0) == peeled
+    assert sum(map(len, layers)) == len(peeled)
+    for v in core:
+        assert parent[v] == -1
+    form = {v: ahu(children, v) for v in peeled}
+    for u, v in combinations(peeled, 2):
+        assert (rank[u] == rank[v]) == (form[u] == form[v]), (u, v)
+    for v in peeled:
+        assert (rank[v] == 0) == (not children[v])
+        layer = bisect_right(starts, rank[v]) - 1
+        assert tuple(sorted(rank[c] for c in children[v])) in layers[layer]
+        if v in anchor:  # a tree's centre
+            assert parent[v] == -1
+        else:
+            p = parent[v]
+            assert far[p] == far[v] - 1
+            assert rank[p] == -1 or bisect_right(starts, rank[p]) - 1 > layer
+
+
+@pytest.mark.parametrize("family,order,m,swaps,pairs", [
+    *(("star", n, 1, n - 2, 2 * (n - 2)) for n in range(4, 17)),
+    ("path", 3, 3, 1, 4),
+    ("path", 5, 4, 1, 10),
+])
+def test_branch_swaps_where_they_pay(family, order, m, swaps, pairs):
+    # The products on which branch swaps cut nodes of the paper's corpus:
+    # the star's leaves with their copies are swappable branches, and the
+    # path's two ends are one reflection. Counts recorded from the FIFO
+    # peel that came before graphs._peel.
+    g, _ = lc.corona(lc.generate(family, order), lc.generate("empty", m))
+    seq = _search_order(g, _pendant_groups(g))
+    found = _branch_swaps(g, {v: i for i, v in enumerate(seq)})
+    assert (len(found), sum(map(len, found))) == (swaps, pairs)
 
 
 # Every connected graph on 1 to 5 vertices, P4, C4 and C5 among them.
